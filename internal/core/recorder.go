@@ -16,6 +16,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"relaxreplay/internal/bloom"
 	"relaxreplay/internal/faultinject"
@@ -180,15 +181,14 @@ const (
 	kindFiller
 )
 
-// traqEntry is one TRAQ slot (paper Figure 6(b)).
+// traqEntry is one TRAQ slot (paper Figure 6(b)). The sequence
+// numbers of its nmi instructions sit in the recorder's nmiSeqs, so
+// that a squash of this entry can restore the survivors to the
+// pending list.
 type traqEntry struct {
-	seq  uint64
+	seq  uint64 // a filler's is that of its last NMI instruction
 	kind entryKind
 	nmi  int // non-memory instructions preceding this one
-	// nmiSeqs are the sequence numbers of those instructions, kept so
-	// that a squash of this entry can restore the survivors to the
-	// pending list.
-	nmiSeqs []uint64
 
 	line uint64
 	addr uint64
@@ -369,13 +369,16 @@ type Recorder struct {
 	orderer Orderer
 	snoop   *SnoopTable
 
-	traq    []*traqEntry
-	bySeq   map[uint64]*traqEntry
-	pending []uint64 // seqs of uncommitted non-memory dispatches
-	// freeEntries recycles counted/squashed TRAQ entries (and their
-	// nmiSeqs backing arrays): the per-dispatch allocation was a top
-	// contributor on the record path's heap profile.
-	freeEntries []*traqEntry
+	// traq is a ring of entry values holding traqLen entries from
+	// traqHead on, seq-ascending. Ring slot i keeps its entry's NMI
+	// seqs in nmiSeqs[i*NMICap:]. Both are allocated once, here.
+	traq     []traqEntry
+	traqHead int
+	traqMask int
+	traqLen  int
+	nmiSeqs  []uint64
+	pending  []uint64 // seqs of uncommitted non-memory dispatches
+	spare    []uint64 // Squash's scratch, swapped with pending
 
 	cisn       uint64
 	curBlock   uint32
@@ -420,11 +423,16 @@ func NewRecorder(core int, cfg Config, orderer Orderer) (*Recorder, error) {
 			orderer = NewQuickRecOrderer(cfg.SigArrays, cfg.SigBits, cfg.SigSeed)
 		}
 	}
+	ring := 1 << bits.Len(uint(cfg.TRAQSize-1))
 	r := &Recorder{
 		core:       core,
 		cfg:        cfg,
 		orderer:    orderer,
-		bySeq:      make(map[uint64]*traqEntry),
+		traq:       make([]traqEntry, ring),
+		traqMask:   ring - 1,
+		nmiSeqs:    make([]uint64, ring*cfg.NMICap),
+		pending:    make([]uint64, 0, 2*cfg.NMICap),
+		spare:      make([]uint64, 0, 2*cfg.NMICap),
 		tel:        newRecTelem(cfg.Telemetry),
 		prov:       cfg.Provenance.Core(core),
 		remoteFrom: -1,
@@ -436,31 +444,35 @@ func NewRecorder(core int, cfg Config, orderer Orderer) (*Recorder, error) {
 }
 
 // Busy reports whether uncounted work remains in the TRAQ.
-func (r *Recorder) Busy() bool { return len(r.traq) > 0 }
+func (r *Recorder) Busy() bool { return r.traqLen > 0 }
 
 // Occupancy returns the current number of TRAQ entries in use.
-func (r *Recorder) Occupancy() int { return len(r.traq) }
+func (r *Recorder) Occupancy() int { return r.traqLen }
+
+// at returns the ring slot of the i-th oldest TRAQ entry.
+func (r *Recorder) at(i int) int { return (r.traqHead + i) & r.traqMask }
 
 // DispatchInstr implements cpu.Hooks.DispatchInstr: memory
 // instructions allocate a TRAQ entry (stalling dispatch when full);
 // non-memory instructions accumulate toward the next entry's NMI
 // field, spilling filler entries when they exceed the field's capacity
 // (paper §4.1).
+//
 //rrlint:hotpath
 func (r *Recorder) DispatchInstr(seq uint64, ins isa.Instr) bool {
 	if !ins.IsMem() {
 		if len(r.pending) >= r.cfg.NMICap {
-			if len(r.traq) >= r.cfg.TRAQSize {
+			if r.traqLen >= r.cfg.TRAQSize {
 				return false
 			}
-			r.push(r.takeEntry(r.pending[len(r.pending)-1], kindFiller, r.pending))
+			r.push(r.pending[len(r.pending)-1], kindFiller, r.pending)
 			r.pending = r.pending[:0]
 		}
 		r.pending = append(r.pending, seq)
 		r.Stats.Dispatched++
 		return true
 	}
-	if len(r.traq) >= r.cfg.TRAQSize {
+	if r.traqLen >= r.cfg.TRAQSize {
 		return false
 	}
 	kind := kindLoad
@@ -470,49 +482,25 @@ func (r *Recorder) DispatchInstr(seq uint64, ins isa.Instr) bool {
 	case ins.Op == isa.ST:
 		kind = kindStore
 	}
-	e := r.takeEntry(seq, kind, r.pending)
-	r.push(e)
+	r.push(seq, kind, r.pending)
 	r.pending = r.pending[:0]
-	r.bySeq[seq] = e
 	r.Stats.Dispatched++
 	return true
 }
 
-// takeEntry returns a zeroed TRAQ entry for seq with the pending NMI
-// sequence numbers copied in, reusing a drained entry (and its nmiSeqs
-// backing array) when one is free.
-func (r *Recorder) takeEntry(seq uint64, kind entryKind, nmiSeqs []uint64) *traqEntry {
-	n := len(r.freeEntries)
-	if n == 0 {
-		return &traqEntry{
-			seq: seq, kind: kind, nmi: len(nmiSeqs),
-			nmiSeqs: append([]uint64(nil), nmiSeqs...),
-		}
-	}
-	e := r.freeEntries[n-1]
-	r.freeEntries[n-1] = nil
-	r.freeEntries = r.freeEntries[:n-1]
-	ns := e.nmiSeqs[:0]
-	*e = traqEntry{seq: seq, kind: kind, nmi: len(nmiSeqs)}
-	e.nmiSeqs = append(ns, nmiSeqs...)
-	return e
-}
-
-// freeEntry recycles a TRAQ entry that has left both the queue and the
-// bySeq index.
+// push appends a fresh TRAQ entry for seq with the given NMI sequence
+// numbers; callers have already checked capacity.
 //
 //rrlint:hotpath
-func (r *Recorder) freeEntry(e *traqEntry) {
-	r.freeEntries = append(r.freeEntries, e)
-}
-
-// push appends a TRAQ entry; callers have already checked capacity.
-//
-//rrlint:hotpath
-func (r *Recorder) push(e *traqEntry) {
-	r.traq = append(r.traq, e)
-	if len(r.traq) > r.Stats.TRAQPeak {
-		r.Stats.TRAQPeak = len(r.traq)
+func (r *Recorder) push(seq uint64, kind entryKind, nmiSeqs []uint64) {
+	var e traqEntry
+	e.seq, e.kind, e.nmi = seq, kind, len(nmiSeqs)
+	i := r.at(r.traqLen)
+	r.traq[i] = e
+	copy(r.nmiSeqs[i*r.cfg.NMICap:], nmiSeqs)
+	r.traqLen++
+	if r.traqLen > r.Stats.TRAQPeak {
+		r.Stats.TRAQPeak = r.traqLen
 	}
 }
 
@@ -525,10 +513,21 @@ func (r *Recorder) push(e *traqEntry) {
 //rrlint:hotpath
 //rrlint:shardphase
 func (r *Recorder) Perform(seq uint64, addr uint64, isRead, isWrite bool, value, storedVal uint64, didWrite bool) {
-	e := r.bySeq[seq]
-	if e == nil {
+	// The TRAQ is seq-ordered: binary search for the first entry at or
+	// after seq, which is this access's unless it was squashed.
+	lo, hi := 0, r.traqLen
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.traq[r.at(mid)].seq < seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == r.traqLen || r.traq[r.at(lo)].seq != seq {
 		return // squashed wrong-path access
 	}
+	e := &r.traq[r.at(lo)]
 	line := addr >> 5
 	e.performed = true
 	e.pisn = r.cisn
@@ -547,10 +546,8 @@ func (r *Recorder) Perform(seq uint64, addr uint64, isRead, isWrite bool, value,
 		// Pin older uncounted same-address entries: their perform
 		// events may not move past this interval (where this store,
 		// if logged reordered, will be patched to).
-		for _, o := range r.traq {
-			if o.seq >= seq {
-				break
-			}
+		for i := 0; i < lo; i++ {
+			o := &r.traq[r.at(i)]
 			if o.kind != kindFiller && o.performed && o.addr == addr && !o.pinned {
 				// Keep the EARLIEST pinning store's interval: any
 				// later pinning store patches no earlier than it.
@@ -580,41 +577,40 @@ func (r *Recorder) isRetired(seq uint64) bool {
 // Squash implements cpu.Hooks.Squash: TRAQ entries and pending
 // non-memory dispatches from fromSeq on are discarded, mirroring the
 // ROB flush (paper §4.1).
+//
+//rrlint:hotpath
 func (r *Recorder) Squash(fromSeq uint64) {
 	for len(r.pending) > 0 && r.pending[len(r.pending)-1] >= fromSeq {
 		r.pending = r.pending[:len(r.pending)-1]
 	}
-	var restored []uint64
-	for len(r.traq) > 0 {
-		last := r.traq[len(r.traq)-1]
-		if last.seq < fromSeq {
-			break
-		}
-		// Surviving non-memory instructions folded into this entry's
-		// NMI field go back to the pending list.
-		var keep []uint64
-		for _, s := range last.nmiSeqs {
-			if s < fromSeq {
-				keep = append(keep, s)
+	cut := r.traqLen
+	for cut > 0 && r.traq[r.at(cut-1)].seq >= fromSeq {
+		cut--
+	}
+	if cut < r.traqLen {
+		// Surviving non-memory instructions folded into the squashed
+		// entries' NMI fields go back to the front of the pending list,
+		// assembled in spare and swapped in.
+		restored := r.spare[:0]
+		for i := cut; i < r.traqLen; i++ {
+			j := r.at(i) * r.cfg.NMICap
+			for _, s := range r.nmiSeqs[j : j+r.traq[r.at(i)].nmi] {
+				if s < fromSeq {
+					restored = append(restored, s)
+				}
 			}
 		}
-		restored = append(keep, restored...)
-		delete(r.bySeq, last.seq)
-		r.traq[len(r.traq)-1] = nil
-		r.traq = r.traq[:len(r.traq)-1]
-		r.Stats.SquashedEntries++
-		r.freeEntry(last)
-	}
-	if len(restored) > 0 {
-		r.pending = append(restored, r.pending...)
+		r.Stats.SquashedEntries += uint64(r.traqLen - cut)
+		r.traqLen = cut
+		r.spare, r.pending = r.pending[:0], append(restored, r.pending...)
 	}
 	// If the restore overflowed the NMI capacity, re-spill into filler
 	// entries (space exists: the squash just freed TRAQ slots).
 	for len(r.pending) > r.cfg.NMICap {
-		if len(r.traq) >= r.cfg.TRAQSize {
+		if r.traqLen >= r.cfg.TRAQSize {
 			panic("core: no TRAQ space to re-spill restored NMI instructions")
 		}
-		r.push(r.takeEntry(r.pending[r.cfg.NMICap-1], kindFiller, r.pending[:r.cfg.NMICap]))
+		r.push(r.pending[r.cfg.NMICap-1], kindFiller, r.pending[:r.cfg.NMICap])
 		r.pending = append(r.pending[:0], r.pending[r.cfg.NMICap:]...)
 	}
 }
@@ -714,7 +710,7 @@ func (r *Recorder) terminate(cycle uint64, cause provenance.Cause) {
 		if r.snoop != nil {
 			sn = r.snoop.Nonzero()
 		}
-		r.prov.NoteTerminate(r.cisn, cause, len(r.traq), sn, cycle)
+		r.prov.NoteTerminate(r.cisn, cause, r.traqLen, sn, cycle)
 	}
 	r.tel.chunkSize.Observe(r.core, r.curCounted)
 	r.tel.intervals.Inc(r.core)
@@ -777,42 +773,23 @@ func (r *Recorder) logEntry(e replaylog.Entry) {
 //rrlint:hotpath
 //rrlint:shardphase
 func (r *Recorder) Tick(cycle uint64) {
-	r.Stats.TRAQOccupancySum += uint64(len(r.traq))
+	r.Stats.TRAQOccupancySum += uint64(r.traqLen)
 	r.Stats.TRAQSamples++
-	bin := len(r.traq) / 10
+	bin := r.traqLen / 10
 	if bin >= len(r.Stats.TRAQOccupancyHist) {
 		bin = len(r.Stats.TRAQOccupancyHist) - 1
 	}
 	r.Stats.TRAQOccupancyHist[bin]++
-	r.tel.traqOcc.Observe(r.core, uint64(len(r.traq)))
+	r.tel.traqOcc.Observe(r.core, uint64(r.traqLen))
 
-	// The drained prefix is shifted out after the loop rather than
-	// re-sliced away per entry, so the queue keeps its backing array
-	// and push stops allocating.
-	pop := 0
-	for n := 0; n < r.cfg.CountPerCycle && pop < len(r.traq); n++ {
-		e := r.traq[pop]
-		if e.kind == kindFiller {
-			if !r.isRetired(e.seq) {
-				break // the filler's instructions have not retired yet
-			}
-			r.count(e, cycle)
-			pop++
-			r.freeEntry(e)
-			continue
-		}
-		if !e.performed || !r.isRetired(e.seq) {
+	for n := 0; n < r.cfg.CountPerCycle && r.traqLen > 0; n++ {
+		e := &r.traq[r.traqHead]
+		if !r.isRetired(e.seq) || (e.kind != kindFiller && !e.performed) {
 			break // counting is in order: wait for the head
 		}
 		r.count(e, cycle)
-		pop++
-		delete(r.bySeq, e.seq)
-		r.freeEntry(e)
-	}
-	if pop > 0 {
-		m := copy(r.traq, r.traq[pop:])
-		clear(r.traq[m:len(r.traq)])
-		r.traq = r.traq[:m]
+		r.traqHead = (r.traqHead + 1) & r.traqMask
+		r.traqLen--
 	}
 }
 
@@ -925,8 +902,8 @@ func (r *Recorder) Finalize(cycle uint64) (replaylog.CoreLog, error) {
 	if r.finalized {
 		return replaylog.CoreLog{}, fmt.Errorf("core %d: recorder already finalized", r.core)
 	}
-	if len(r.traq) > 0 {
-		return replaylog.CoreLog{}, fmt.Errorf("core %d: %d TRAQ entries never counted", r.core, len(r.traq))
+	if r.traqLen > 0 {
+		return replaylog.CoreLog{}, fmt.Errorf("core %d: %d TRAQ entries never counted", r.core, r.traqLen)
 	}
 	r.finalized = true
 	// Trailing non-memory instructions (including HALT) form the last

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"relaxreplay/internal/coherence"
 	"relaxreplay/internal/isa"
@@ -25,20 +26,22 @@ type Core struct {
 	err             error
 
 	archRegs [isa.NumRegs]uint64
-	regOwner [isa.NumRegs]*uop
+	// regOwner is the ROB position of each register's youngest
+	// in-flight writer, noPos when the architectural value is current.
+	regOwner [isa.NumRegs]int32
 
-	rob       []*uop
-	lsq       []*uop // memory ops and fences, program order
+	// rob is the reorder buffer: a ring of uop values holding robLen
+	// uops from position robHead on, seq-ascending. The queues below
+	// hold ROB positions (see DESIGN.md §20).
+	rob              []uop
+	robHead, robMask int32
+	robLen           int
+
+	lsq       []int32 // memory ops and fences, program order
+	lsqBuf    []int32 // lsq's backing array, twice its capacity
 	wb        []wbEntry
-	readyALU  []*uop
-	executing []*uop
-	bySeq     map[uint64]*uop
-
-	// execScratch is the spare buffer completeExecuting swaps with
-	// executing each cycle, so the per-cycle rebuild allocates nothing.
-	execScratch []*uop
-	// freeUops recycles retired (never squashed) uops; see allocUop.
-	freeUops []*uop
+	readyALU  []int32 // seq-ascending
+	executing []int32
 	// work counts state changes; see WorkCount.
 	work uint64
 
@@ -53,9 +56,14 @@ type Core struct {
 	Stats Stats
 }
 
+// noPos marks an empty register owner; noLink ends a waiter chain.
+const noPos, noLink int32 = -1, -1
+
 // New builds a core executing prog against mem. Initial register state
-// can be set with SetReg before the first Tick.
+// can be set with SetReg before the first Tick. Every in-flight
+// structure is allocated here, once: the pipeline never allocates.
 func New(id int, cfg Config, prog isa.Program, mem MemPort, hooks Hooks) *Core {
+	ring := 1 << bits.Len(uint(max(cfg.ROBSize, 1)-1))
 	c := &Core{
 		id:        id,
 		cfg:       cfg,
@@ -63,9 +71,18 @@ func New(id int, cfg Config, prog isa.Program, mem MemPort, hooks Hooks) *Core {
 		mem:       mem,
 		hooks:     hooks,
 		haltSeq:   -1,
-		bySeq:     make(map[uint64]*uop),
+		rob:       make([]uop, ring),
+		robMask:   int32(ring - 1),
+		lsqBuf:    make([]int32, 0, 2*max(min(cfg.LSQSize, cfg.ROBSize), 1)),
+		wb:        make([]wbEntry, 0, max(cfg.WBSize, 0)),
+		readyALU:  make([]int32, 0, ring),
+		executing: make([]int32, 0, ring),
 		predictor: make([]uint8, 1<<cfg.PredictorBits),
 		tel:       newCoreTelem(cfg.Telemetry),
+	}
+	c.lsq = c.lsqBuf
+	for r := range c.regOwner {
+		c.regOwner[r] = noPos
 	}
 	for i := range c.predictor {
 		c.predictor[i] = 2 // weakly taken
@@ -91,7 +108,7 @@ func (c *Core) Err() error { return c.err }
 
 // Quiesced reports whether the core has no in-flight work left.
 func (c *Core) Quiesced() bool {
-	return c.halted && len(c.rob) == 0 && len(c.wb) == 0
+	return c.halted && c.robLen == 0 && len(c.wb) == 0
 }
 
 // ArchRegs returns the architectural register file (valid once halted).
@@ -100,6 +117,43 @@ func (c *Core) ArchRegs() [isa.NumRegs]uint64 { return c.archRegs }
 // ID returns the core id.
 func (c *Core) ID() int { return c.id }
 
+// at returns the ROB position of the i-th oldest in-flight uop.
+func (c *Core) at(i int) int32 { return (c.robHead + int32(i)) & c.robMask }
+
+// inROB reports whether position p holds an in-flight uop.
+func (c *Core) inROB(p int32) bool { return int((p-c.robHead)&c.robMask) < c.robLen }
+
+// find returns the ROB position of the in-flight uop with the given
+// seq, or noPos. Seqs ascend from the head but skip squashed ranges:
+// the direct index seq-headSeq is a guess validated by the slot's seq,
+// and a binary search below it settles the rest.
+//
+//rrlint:hotpath
+func (c *Core) find(seq uint64) int32 {
+	lo, hi := 0, c.robLen
+	if hi == 0 || seq < c.rob[c.robHead].seq {
+		return noPos
+	}
+	if d := seq - c.rob[c.robHead].seq; d < uint64(hi) {
+		hi = int(d) // squash gaps only push seqs further from the head
+		if p := c.at(hi); c.rob[p].seq == seq {
+			return p
+		}
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if c.rob[c.at(mid)].seq < seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if p := c.at(lo); lo < c.robLen && c.rob[p].seq == seq {
+		return p
+	}
+	return noPos
+}
+
 // HandlePerform delivers a memory-system perform event: the access
 // bound its value this cycle. It may be called synchronously from
 // inside a Submit, so it must not mutate the pipeline queues; a
@@ -107,61 +161,63 @@ func (c *Core) ID() int { return c.id }
 //
 //rrlint:shardphase
 func (c *Core) HandlePerform(ev coherence.PerformEvent) {
-	u := c.bySeq[ev.ID]
-	if u == nil {
-		return // squashed wrong-path access
+	if p := c.find(ev.ID); p != noPos {
+		c.markPerformed(p)
+		return
 	}
-	c.markPerformed(u, ev.Cycle)
+	// Otherwise a retired store, whose Figure 1 accounting happens
+	// here (loads count at retirement: wrong-path loads must not), or a
+	// squashed wrong-path access.
+	for i := range c.wb {
+		if e := &c.wb[i]; e.seq == ev.ID && !e.performed {
+			c.work++
+			e.performed = true
+			if c.olderMemPending(e.seq) {
+				c.Stats.OOOStores++
+			}
+		}
+	}
 }
 
 // HandleCompletion delivers the pipeline notification for a load, RMW
-// or store submitted to the memory system.
+// or store submitted to the memory system. Squashed seqs and stores
+// (already retired to the write buffer) miss the ROB.
 //
 //rrlint:shardphase
 func (c *Core) HandleCompletion(ev coherence.Completion) {
-	u := c.bySeq[ev.ID]
-	if u == nil || u.state == uopDone {
-		return // squashed, or a store (already finished via perform)
+	if p := c.find(ev.ID); p != noPos && c.rob[p].state != uopDone {
+		c.finish(p, ev.Value)
 	}
-	if u.ins.Op == isa.ST {
-		return
-	}
-	c.finish(u, ev.Value)
 }
 
 // markPerformed records the perform event and whether it was out of
 // program order (an older memory op still pending), for Figure 1.
 //
 //rrlint:hotpath
-func (c *Core) markPerformed(u *uop, cycle uint64) {
+func (c *Core) markPerformed(p int32) {
+	u := &c.rob[p]
 	if u.performed {
 		return
 	}
 	c.work++
 	u.performed = true
-	u.performCycle = cycle
 	u.oooPerform = c.olderMemPending(u.seq)
-	// Stores perform after retirement (from the write buffer), so
-	// their Figure 1 accounting happens here; loads are counted when
-	// they retire (wrong-path loads must not count).
-	if u.ins.Op == isa.ST && u.oooPerform {
-		c.Stats.OOOStores++
-	}
 }
 
 // olderMemPending reports whether any memory op older than seq has not
 // performed yet.
 func (c *Core) olderMemPending(seq uint64) bool {
 	for _, e := range c.wb {
-		if e.u.seq < seq && !e.u.performed {
+		if e.seq < seq && !e.performed {
 			return true
 		}
 	}
-	for _, u := range c.lsq {
+	for _, p := range c.lsq {
+		u := &c.rob[p]
 		if u.seq >= seq {
 			break
 		}
-		if u.isMem() && !u.performed {
+		if u.ins.IsMem() && !u.performed {
 			return true
 		}
 	}
@@ -169,35 +225,31 @@ func (c *Core) olderMemPending(seq uint64) bool {
 }
 
 // finish completes a uop's execution: the result is available and
-// waiting consumers wake.
+// the sources waiting on it, linked through the waiter chain, wake.
 //
 //rrlint:hotpath
-func (c *Core) finish(u *uop, val uint64) {
+func (c *Core) finish(p int32, val uint64) {
 	c.work++
+	u := &c.rob[p]
 	u.val = val
 	u.state = uopDone
-	for _, w := range u.waiters {
-		if w.squashed {
-			continue
-		}
-		for i := range w.srcOwner {
-			if w.srcOwner[i] == u {
-				w.srcOwner[i] = nil
-				w.srcVal[i] = val
-				w.pendingSrc--
-			}
-		}
-		if w.pendingSrc == 0 && w.state == uopWaiting && c.wantsALUQueue(w) {
-			c.pushReady(w)
+	for l := u.waitHead; l != noLink; {
+		wp, s := l>>2, l&3
+		w := &c.rob[wp]
+		l = w.srcNext[s]
+		w.srcVal[s] = val
+		w.srcWait &^= 1 << s
+		if w.srcWait == 0 && w.state == uopWaiting && wantsALUQueue(w.ins.Op) {
+			c.pushReady(wp)
 		}
 	}
-	u.waiters = u.waiters[:0] // keep the backing array for reuse
+	u.waitHead = noLink
 }
 
-// wantsALUQueue reports whether the uop issues through the ALU ready
+// wantsALUQueue reports whether the op issues through the ALU ready
 // queue (memory ops, fences, IN and RMW are handled elsewhere).
-func (c *Core) wantsALUQueue(u *uop) bool {
-	switch u.ins.Op {
+func wantsALUQueue(op isa.Op) bool {
+	switch op {
 	case isa.LD, isa.FENCE, isa.IN, isa.AMOADD, isa.AMOSWAP, isa.CAS, isa.HALT, isa.NOP, isa.JMP:
 		return false
 	}
@@ -205,23 +257,24 @@ func (c *Core) wantsALUQueue(u *uop) bool {
 }
 
 //rrlint:hotpath
-func (c *Core) pushReady(u *uop) {
+func (c *Core) pushReady(p int32) {
 	c.work++
-	u.state = uopReady
+	c.rob[p].state = uopReady
+	seq := c.rob[p].seq
 	// Open-coded binary search: sort.Search's closure would allocate
 	// its environment on this per-wakeup path.
 	lo, hi := 0, len(c.readyALU)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if c.readyALU[mid].seq > u.seq {
+		if c.rob[c.readyALU[mid]].seq > seq {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	c.readyALU = append(c.readyALU, nil)
+	c.readyALU = append(c.readyALU, 0)
 	copy(c.readyALU[lo+1:], c.readyALU[lo:])
-	c.readyALU[lo] = u
+	c.readyALU[lo] = p
 }
 
 // Tick advances the core one cycle. The machine must deliver this
@@ -237,7 +290,7 @@ func (c *Core) Tick(cycle uint64) {
 	}
 	c.Stats.Cycles++
 	c.tel.cycles.Inc(c.id)
-	c.tel.robOcc.Observe(c.id, uint64(len(c.rob)))
+	c.tel.robOcc.Observe(c.id, uint64(c.robLen))
 	c.tel.lsqOcc.Observe(c.id, uint64(len(c.lsq)))
 	c.completeExecuting()
 	c.retire()
@@ -246,55 +299,61 @@ func (c *Core) Tick(cycle uint64) {
 	c.dispatch()
 }
 
-// completeExecuting finishes ALU-class uops whose latency elapsed.
-// Executing a branch may squash (which rewrites c.executing), so the
-// walk runs over a detached snapshot. The snapshot and the rebuilt
-// queue ping-pong between two persistent buffers, so the per-cycle
-// rebuild never allocates.
+// completeExecuting finishes ALU-class uops whose latency elapsed. A
+// branch may squash younger uops later in the walk (skipped) or already
+// kept (dropped after it); nothing dispatches during the walk, so a
+// position outside the ROB cannot have been reused.
 //
 //rrlint:hotpath
 func (c *Core) completeExecuting() {
-	snapshot := c.executing
-	c.executing = c.execScratch[:0]
-	for _, u := range snapshot {
-		if u.squashed {
-			continue
+	n := 0
+	for _, p := range c.executing {
+		switch {
+		case !c.inROB(p):
+		case c.rob[p].doneAt > c.cycle:
+			c.executing[n] = p
+			n++
+		default:
+			c.execute(p)
 		}
-		if u.doneAt > c.cycle {
-			c.executing = append(c.executing, u)
-			continue
-		}
-		c.execute(u)
 	}
-	c.execScratch = snapshot[:0]
+	kept := c.executing[:n]
+	c.executing = c.executing[:0]
+	for _, p := range kept {
+		if c.inROB(p) {
+			c.executing = append(c.executing, p)
+		}
+	}
 }
 
 // execute applies the architectural semantics of an ALU-class uop.
-func (c *Core) execute(u *uop) {
+func (c *Core) execute(p int32) {
+	u := &c.rob[p]
 	ins := u.ins
 	switch {
 	case ins.Op == isa.IN || u.forwarded:
-		c.finish(u, u.val) // value already bound
+		c.finish(p, u.val) // value already bound
 	case ins.IsBranch():
 		taken := isa.BranchTaken(ins, u.srcVal[0], u.srcVal[1])
 		c.trainPredictor(u.pc, taken)
-		c.finish(u, 0)
+		c.finish(p, 0)
 		if taken != u.predictedTaken {
 			c.Stats.Mispredicts++
 			c.tel.mispredict.Inc(c.id)
-			c.mispredict(u, taken)
+			c.mispredict(p, taken)
 		}
 	case ins.Op == isa.ST:
 		u.addr = isa.EffAddr(ins, u.srcVal[0])
 		u.addrKnown = true
-		c.finish(u, u.srcVal[1]) // val holds the store data
+		c.finish(p, u.srcVal[1]) // val holds the store data
 	default:
-		c.finish(u, isa.EvalALU(ins, u.srcVal[0], u.srcVal[1]))
+		c.finish(p, isa.EvalALU(ins, u.srcVal[0], u.srcVal[1]))
 	}
 }
 
 // mispredict squashes the wrong path and redirects fetch.
-func (c *Core) mispredict(u *uop, taken bool) {
+func (c *Core) mispredict(p int32, taken bool) {
+	u := &c.rob[p]
 	c.squashAfter(u.seq)
 	if taken {
 		c.pc = int(u.ins.Imm)
@@ -305,43 +364,45 @@ func (c *Core) mispredict(u *uop, taken bool) {
 }
 
 // squashAfter removes every uop with seq > after from the pipeline.
+// The squashed uops are a seq suffix of the ROB, the LSQ and the ready
+// queue; completeExecuting, the only caller, drops them from
+// executing. Waiter chains are appended in dispatch order, so each
+// survivor's chain loses a suffix too, cut while the rename table is
+// rebuilt.
 func (c *Core) squashAfter(after uint64) {
 	c.work++
-	cut := len(c.rob)
-	for cut > 0 && c.rob[cut-1].seq > after {
-		u := c.rob[cut-1]
-		u.squashed = true
-		delete(c.bySeq, u.seq)
+	cut := c.robLen
+	for cut > 0 && c.rob[c.at(cut-1)].seq > after {
 		c.Stats.SquashedUops++
 		c.tel.squashed.Inc(c.id)
 		cut--
 	}
-	if cut == len(c.rob) {
+	if cut == c.robLen {
 		return
 	}
-	c.rob = c.rob[:cut]
-
-	keepUops := func(s []*uop) []*uop {
-		out := s[:0]
-		for _, u := range s {
-			if !u.squashed {
-				out = append(out, u)
-			}
-		}
-		return out
+	c.robLen = cut
+	for len(c.lsq) > 0 && c.rob[c.lsq[len(c.lsq)-1]].seq > after {
+		c.lsq = c.lsq[:len(c.lsq)-1]
 	}
-	c.lsq = keepUops(c.lsq)
-	c.readyALU = keepUops(c.readyALU)
-	c.executing = keepUops(c.executing)
+	for len(c.readyALU) > 0 && c.rob[c.readyALU[len(c.readyALU)-1]].seq > after {
+		c.readyALU = c.readyALU[:len(c.readyALU)-1]
+	}
 
-	// Rebuild the rename table from the surviving ROB.
 	for r := range c.regOwner {
-		c.regOwner[r] = nil
+		c.regOwner[r] = noPos
 	}
-	for _, u := range c.rob {
+	for i := 0; i < c.robLen; i++ {
+		p := c.at(i)
+		u := &c.rob[p]
 		if u.ins.WritesReg() {
-			c.regOwner[u.ins.Rd] = u
+			c.regOwner[u.ins.Rd] = p
 		}
+		link := &u.waitHead
+		for *link != noLink && c.rob[*link>>2].seq <= after {
+			u.waitTail = *link
+			link = &c.rob[*link>>2].srcNext[*link&3]
+		}
+		*link = noLink
 	}
 	if c.haltSeq > int64(after) {
 		c.haltSeq = -1
@@ -366,10 +427,13 @@ func (c *Core) trainPredictor(pc int, taken bool) {
 	}
 }
 
-// retire commits up to IssueWidth instructions in program order.
+// retire commits up to IssueWidth instructions in program order. A
+// retiring store is copied into the write buffer: every ROB slot frees
+// at retirement.
 func (c *Core) retire() {
-	for n := 0; n < c.cfg.IssueWidth && len(c.rob) > 0; n++ {
-		u := c.rob[0]
+	for n := 0; n < c.cfg.IssueWidth && c.robLen > 0; n++ {
+		p := c.robHead
+		u := &c.rob[p]
 		switch {
 		case u.ins.Op == isa.ST:
 			if u.state != uopDone {
@@ -380,32 +444,19 @@ func (c *Core) retire() {
 				c.tel.stallWB.Inc(c.id)
 				return
 			}
-			c.wb = append(c.wb, wbEntry{u: u})
-			// Stays in bySeq until the write buffer drains it.
+			c.wb = append(c.wb, wbEntry{
+				seq: u.seq, addr: u.addr, val: u.val, release: u.ins.Flags&isa.FlagRelease != 0,
+			})
 		case u.ins.IsMem(): // loads, atomics
 			if u.state != uopDone || !u.performed {
 				return
 			}
 		case u.ins.Op == isa.FENCE:
-			if !c.fenceDone(u) {
+			if c.olderMemPending(u.seq) {
 				return
 			}
 		case u.ins.Op == isa.HALT:
-			c.work++
 			c.halted = true
-			c.Stats.Retired++
-			c.tel.retired.Inc(c.id)
-			c.nonMemSinceMemRetire++
-			c.rob = c.rob[1:]
-			delete(c.bySeq, u.seq)
-			if c.hooks.RetireInstr != nil {
-				c.hooks.RetireInstr(u.seq, false)
-			}
-			if c.hooks.Halted != nil {
-				c.hooks.Halted(c.nonMemSinceMemRetire)
-			}
-			c.freeUop(u)
-			return
 		default:
 			if u.state != uopDone {
 				return
@@ -415,16 +466,15 @@ func (c *Core) retire() {
 		c.work++
 		if u.ins.WritesReg() {
 			c.archRegs[u.ins.Rd] = u.val
+			if c.regOwner[u.ins.Rd] == p {
+				c.regOwner[u.ins.Rd] = noPos
+			}
 		}
-		if u.ins.WritesReg() && c.regOwner[u.ins.Rd] == u {
-			c.regOwner[u.ins.Rd] = nil
-		}
-		c.rob = c.rob[1:]
-		if len(c.lsq) > 0 && c.lsq[0] == u {
+		// The slot frees; its contents stay readable until dispatch.
+		c.robHead = (c.robHead + 1) & c.robMask
+		c.robLen--
+		if len(c.lsq) > 0 && c.lsq[0] == p {
 			c.lsq = c.lsq[1:]
-		}
-		if u.ins.Op != isa.ST {
-			delete(c.bySeq, u.seq)
 		}
 
 		c.Stats.Retired++
@@ -453,24 +503,13 @@ func (c *Core) retire() {
 				c.Stats.BranchesRetired++
 			}
 		}
-		if u.ins.Op != isa.ST {
-			// Fully committed and unlinked from every queue: recycle.
-			// Stores recycle later, when the write buffer drains them.
-			c.freeUop(u)
+		if c.halted {
+			if c.hooks.Halted != nil {
+				c.hooks.Halted(c.nonMemSinceMemRetire)
+			}
+			return
 		}
 	}
-}
-
-// fenceDone reports whether every memory op older than the fence has
-// performed. The fence is at the ROB head, so all older loads/atomics
-// have retired (hence performed); only write buffer entries remain.
-func (c *Core) fenceDone(u *uop) bool {
-	for _, e := range c.wb {
-		if e.u.seq < u.seq && !e.u.performed {
-			return false
-		}
-	}
-	return true
 }
 
 // issueMem issues loads, drains the write buffer, and launches
@@ -485,12 +524,13 @@ func (c *Core) issueMem() {
 
 // issueHeadOps launches RMW and IN at the ROB head.
 func (c *Core) issueHeadOps(budget *int) {
-	if len(c.rob) == 0 || *budget == 0 {
+	if c.robLen == 0 || *budget == 0 {
 		return
 	}
-	u := c.rob[0]
+	p := c.robHead
+	u := &c.rob[p]
 	switch {
-	case u.ins.IsAtomic() && u.state == uopWaiting && u.pendingSrc == 0:
+	case u.ins.IsAtomic() && u.state == uopWaiting && u.srcWait == 0:
 		// Atomics act as a full fence: wait for the write buffer.
 		if len(c.wb) > 0 {
 			return
@@ -519,7 +559,7 @@ func (c *Core) issueHeadOps(budget *int) {
 		u.state = uopIssued
 		u.doneAt = c.cycle + 1
 		u.val = v
-		c.executing = append(c.executing, u)
+		c.executing = append(c.executing, p)
 	}
 }
 
@@ -527,14 +567,15 @@ func (c *Core) issueHeadOps(budget *int) {
 // enforcing the RC ordering rules.
 func (c *Core) issueLoads(budget *int) {
 	storeAddrUnknown := false
-	for _, u := range c.lsq {
+	for _, p := range c.lsq {
 		if *budget == 0 {
 			return
 		}
+		u := &c.rob[p]
 		ins := u.ins
 		switch {
 		case ins.Op == isa.FENCE:
-			if !c.lsqFenceDone(u) {
+			if c.olderMemPending(u.seq) {
 				return // blocks all younger memory ops
 			}
 			continue
@@ -546,7 +587,7 @@ func (c *Core) issueLoads(budget *int) {
 		case ins.Op == isa.ST:
 			// Opportunistic address generation so younger loads can
 			// disambiguate without waiting for the store data.
-			if !u.addrKnown && u.srcOwner[0] == nil {
+			if !u.addrKnown && u.srcWait&1 == 0 {
 				c.work++
 				u.addr = isa.EffAddr(ins, u.srcVal[0])
 				u.addrKnown = true
@@ -559,7 +600,7 @@ func (c *Core) issueLoads(budget *int) {
 		// Load.
 		acquire := ins.Flags&isa.FlagAcquire != 0
 		if u.state == uopWaiting && !u.performed {
-			c.tryIssueLoad(u, storeAddrUnknown, budget)
+			c.tryIssueLoad(p, storeAddrUnknown, budget)
 		}
 		if acquire && !u.performed {
 			return // acquire blocks all younger memory ops
@@ -573,8 +614,9 @@ func (c *Core) issueLoads(budget *int) {
 }
 
 // tryIssueLoad attempts to bind or launch one waiting load.
-func (c *Core) tryIssueLoad(u *uop, storeAddrUnknown bool, budget *int) {
-	if u.srcOwner[0] != nil {
+func (c *Core) tryIssueLoad(p int32, storeAddrUnknown bool, budget *int) {
+	u := &c.rob[p]
+	if u.srcWait&1 != 0 {
 		return // address operand not ready
 	}
 	if !u.addrKnown {
@@ -588,7 +630,7 @@ func (c *Core) tryIssueLoad(u *uop, storeAddrUnknown bool, budget *int) {
 	if c.cfg.Model == SC && c.olderMemPending(u.seq) {
 		return // SC: in-order perform of every memory operation
 	}
-	val, found, blocked := c.forwardSource(u)
+	val, found, blocked := c.forwardSource(u.seq, u.addr)
 	if blocked {
 		return
 	}
@@ -598,11 +640,11 @@ func (c *Core) tryIssueLoad(u *uop, storeAddrUnknown bool, budget *int) {
 		c.Stats.Forwards++
 		c.tel.forwards.Inc(c.id)
 		u.forwarded = true
-		c.markPerformed(u, c.cycle)
+		c.markPerformed(p)
 		u.state = uopIssued
 		u.doneAt = c.cycle + 1
 		u.val = val
-		c.executing = append(c.executing, u)
+		c.executing = append(c.executing, p)
 		if c.hooks.LocalPerform != nil {
 			c.hooks.LocalPerform(u.seq, u.addr, val)
 		}
@@ -619,57 +661,37 @@ func (c *Core) tryIssueLoad(u *uop, storeAddrUnknown bool, budget *int) {
 	*budget--
 }
 
-// lsqFenceDone reports whether a fence still inside the LSQ has all
-// older memory operations performed (including unretired ones).
-func (c *Core) lsqFenceDone(f *uop) bool {
-	for _, e := range c.wb {
-		if e.u.seq < f.seq && !e.u.performed {
-			return false
-		}
-	}
-	for _, u := range c.lsq {
-		if u.seq >= f.seq {
-			break
-		}
-		if u.isMem() && !u.performed {
-			return false
-		}
-	}
-	return true
-}
-
-// forwardSource finds the youngest older store to the same address. It
-// returns (value, true, false) to forward, (0, false, true) if the
+// forwardSource finds the youngest older store to the load's address.
+// It returns (value, true, false) to forward, (0, false, true) if the
 // load must wait (matching store's data not ready, or an older
 // same-address load is still pending), and (0, false, false) to access
 // memory.
-func (c *Core) forwardSource(ld *uop) (val uint64, found, blocked bool) {
+func (c *Core) forwardSource(seq, addr uint64) (val uint64, found, blocked bool) {
 	// Unretired stores and older loads, youngest first.
 	for i := len(c.lsq) - 1; i >= 0; i-- {
-		u := c.lsq[i]
-		if u.seq >= ld.seq {
+		u := &c.rob[c.lsq[i]]
+		if u.seq >= seq {
 			continue
 		}
 		switch u.ins.Op {
 		case isa.ST:
-			if !u.addrKnown || u.addr != ld.addr {
+			if !u.addrKnown || u.addr != addr {
 				continue
 			}
-			if u.srcOwner[1] == nil {
+			if u.srcWait&2 == 0 {
 				return u.srcVal[1], true, false // data ready: forward
 			}
 			return 0, false, true // same-address store, data pending
 		case isa.LD:
-			if u.addrKnown && u.addr == ld.addr && !u.performed {
+			if u.addrKnown && u.addr == addr && !u.performed {
 				return 0, false, true // same-address load order (coherence)
 			}
 		}
 	}
 	// Write buffer, youngest first.
 	for i := len(c.wb) - 1; i >= 0; i-- {
-		e := c.wb[i]
-		if e.u.seq < ld.seq && e.u.addr == ld.addr {
-			return e.u.val, true, false
+		if e := &c.wb[i]; e.seq < seq && e.addr == addr {
+			return e.val, true, false
 		}
 	}
 	return 0, false, false
@@ -682,10 +704,8 @@ func (c *Core) drainWB(budget *int) {
 	// Sweep out stores whose perform event arrived.
 	kept := c.wb[:0]
 	for _, e := range c.wb {
-		if e.u.performed {
+		if e.performed {
 			c.work++
-			delete(c.bySeq, e.u.seq)
-			c.freeUop(e.u)
 			continue
 		}
 		kept = append(kept, e)
@@ -700,26 +720,23 @@ func (c *Core) drainWB(budget *int) {
 		if e.issued {
 			continue
 		}
-		u := e.u
 		if c.cfg.Model != RC && i != 0 {
 			// TSO/SC: the store buffer drains strictly FIFO, one
 			// outstanding store at a time.
 			return
 		}
-		if u.ins.Flags&isa.FlagRelease != 0 {
+		if e.release && i != 0 {
 			// All older stores must have performed (older loads have:
 			// they retired before this store did).
-			if i != 0 {
-				return
-			}
+			return
 		}
-		if c.cfg.Model == SC && c.olderMemPending(u.seq) {
+		if c.cfg.Model == SC && c.olderMemPending(e.seq) {
 			return // SC: no store-load reordering either
 		}
 		// Same-address stores perform in program order.
 		blocked := false
 		for j := 0; j < i; j++ {
-			if c.wb[j].u.addr == u.addr && !c.wb[j].u.performed {
+			if c.wb[j].addr == e.addr && !c.wb[j].performed {
 				blocked = true
 				break
 			}
@@ -728,7 +745,7 @@ func (c *Core) drainWB(budget *int) {
 			continue
 		}
 		if !c.mem.Submit(coherence.Request{
-			Core: c.id, ID: u.seq, Addr: u.addr, Kind: coherence.Store, StoreVal: u.val,
+			Core: c.id, ID: e.seq, Addr: e.addr, Kind: coherence.Store, StoreVal: e.val,
 		}) {
 			return
 		}
@@ -741,33 +758,24 @@ func (c *Core) drainWB(budget *int) {
 
 // issueALU starts execution of ready ALU-class uops. The consumed
 // prefix is shifted out rather than re-sliced away, so the queue keeps
-// its backing array and pushReady's insertion stops allocating.
+// its backing array.
 //
 //rrlint:hotpath
 func (c *Core) issueALU() {
-	n, pop := 0, 0
-	for pop < len(c.readyALU) && n < c.cfg.IssueWidth {
-		u := c.readyALU[pop]
-		pop++
+	n := min(len(c.readyALU), c.cfg.IssueWidth)
+	for _, p := range c.readyALU[:n] {
 		c.work++
-		if u.squashed {
-			continue
-		}
+		u := &c.rob[p]
 		lat := c.cfg.ALULat
 		if u.ins.Op == isa.MUL {
 			lat = c.cfg.MulLat
 		}
 		u.state = uopIssued
 		u.doneAt = c.cycle + lat
-		c.executing = append(c.executing, u)
+		c.executing = append(c.executing, p)
 		c.tel.issuedALU.Inc(c.id)
-		n++
 	}
-	if pop > 0 {
-		m := copy(c.readyALU, c.readyALU[pop:])
-		clear(c.readyALU[m:len(c.readyALU)])
-		c.readyALU = c.readyALU[:m]
-	}
+	c.readyALU = c.readyALU[:copy(c.readyALU, c.readyALU[n:])]
 }
 
 // dispatch brings up to IssueWidth instructions into the ROB along the
@@ -780,7 +788,7 @@ func (c *Core) dispatch() {
 		if c.pc < 0 || c.pc >= len(c.prog.Code) {
 			return // off the end: wrong path, wait for squash
 		}
-		if len(c.rob) >= c.cfg.ROBSize {
+		if c.robLen >= c.cfg.ROBSize {
 			c.Stats.DispatchStallROB++
 			c.tel.stallROB.Inc(c.id)
 			return
@@ -799,13 +807,15 @@ func (c *Core) dispatch() {
 		}
 		c.nextSeq++
 		c.work++
-		u := c.allocUop(seq, c.pc, ins)
-		c.captureSources(u)
+		p := c.at(c.robLen)
+		c.robLen++
+		u := &c.rob[p]
+		*u = uop{} // zeroed in place: a literal would be built and copied
+		u.seq, u.pc, u.ins, u.waitHead = seq, c.pc, ins, noLink
+		c.captureSources(p)
 		if ins.WritesReg() {
-			c.regOwner[ins.Rd] = u
+			c.regOwner[ins.Rd] = p
 		}
-		c.rob = append(c.rob, u)
-		c.bySeq[seq] = u
 
 		switch {
 		case ins.Op == isa.NOP:
@@ -825,24 +835,29 @@ func (c *Core) dispatch() {
 			} else {
 				c.pc++
 			}
-			if u.pendingSrc == 0 {
-				c.pushReady(u)
+			if u.srcWait == 0 {
+				c.pushReady(p)
 			}
 		case ins.IsMem() || ins.Op == isa.FENCE:
-			c.lsq = append(c.lsq, u)
-			if ins.Op == isa.LD && u.pendingSrc == 0 {
+			if len(c.lsq) == cap(c.lsq) {
+				// Slide the queue back to the start of its backing
+				// array, which holds twice the LSQ: amortised O(1).
+				c.lsq = append(c.lsqBuf[:0], c.lsq...)
+			}
+			c.lsq = append(c.lsq, p)
+			if ins.Op == isa.LD && u.srcWait == 0 {
 				u.addr = isa.EffAddr(ins, u.srcVal[0])
 				u.addrKnown = true
 			}
-			if ins.Op == isa.ST && u.pendingSrc == 0 {
-				c.pushReady(u)
+			if ins.Op == isa.ST && u.srcWait == 0 {
+				c.pushReady(p)
 			}
 			c.pc++
 		case ins.Op == isa.IN:
 			c.pc++
 		default: // ALU
-			if u.pendingSrc == 0 {
-				c.pushReady(u)
+			if u.srcWait == 0 {
+				c.pushReady(p)
 			}
 			c.pc++
 		}
@@ -855,68 +870,49 @@ func (c *Core) dispatch() {
 // heap contributor.
 //
 //rrlint:hotpath
-func (c *Core) captureSources(u *uop) {
-	if u.ins.ReadsRs1() {
-		c.captureSource(u, 0, u.ins.Rs1)
+func (c *Core) captureSources(p int32) {
+	ins := c.rob[p].ins
+	if ins.ReadsRs1() {
+		c.captureSource(p, 0, ins.Rs1)
 	}
-	if u.ins.ReadsRs2() {
-		c.captureSource(u, 1, u.ins.Rs2)
+	if ins.ReadsRs2() {
+		c.captureSource(p, 1, ins.Rs2)
 	}
-	if u.ins.ReadsRd() {
-		c.captureSource(u, 2, u.ins.Rd)
-	}
-}
-
-//rrlint:hotpath
-func (c *Core) captureSource(u *uop, idx int, r isa.Reg) {
-	owner := c.regOwner[r]
-	switch {
-	case r == 0 || owner == nil:
-		u.srcVal[idx] = c.archRegs[r]
-	case owner.state == uopDone:
-		u.srcVal[idx] = owner.val
-	default:
-		u.srcOwner[idx] = owner
-		owner.waiters = append(owner.waiters, u)
-		u.pendingSrc++
+	if ins.ReadsRd() {
+		c.captureSource(p, 2, ins.Rd)
 	}
 }
 
-// allocUop returns a fresh uop, reusing a retired one when possible:
-// the per-instruction heap allocation was the record path's largest
-// contributor. The recycled uop's waiter slice keeps its backing array.
-func (c *Core) allocUop(seq uint64, pc int, ins isa.Instr) *uop {
-	n := len(c.freeUops)
-	if n == 0 {
-		return &uop{seq: seq, pc: pc, ins: ins}
-	}
-	u := c.freeUops[n-1]
-	c.freeUops[n-1] = nil
-	c.freeUops = c.freeUops[:n-1]
-	w := u.waiters
-	*u = uop{seq: seq, pc: pc, ins: ins}
-	u.waiters = w[:0]
-	return u
-}
-
-// freeUop recycles a committed uop. Callers guarantee no live
-// reference remains: not in any queue, not in bySeq, not a register
-// owner, waiter list already drained by finish. Squashed uops are
-// never recycled — wrong-path uops can linger in the waiter lists of
-// their still-executing source owners.
+// captureSource reads source s from the register file or a finished
+// owner, or else links it (p<<2|s) onto the tail of the owner's chain.
 //
 //rrlint:hotpath
-func (c *Core) freeUop(u *uop) {
-	if u.squashed {
-		return
+func (c *Core) captureSource(p, s int32, r isa.Reg) {
+	u := &c.rob[p]
+	owner := c.regOwner[r]
+	switch {
+	case r == 0 || owner == noPos:
+		u.srcVal[s] = c.archRegs[r]
+	case c.rob[owner].state == uopDone:
+		u.srcVal[s] = c.rob[owner].val
+	default:
+		o := &c.rob[owner]
+		link := p<<2 | s
+		if o.waitHead == noLink {
+			o.waitHead = link
+		} else {
+			c.rob[o.waitTail>>2].srcNext[o.waitTail&3] = link
+		}
+		o.waitTail = link
+		u.srcNext[s] = noLink
+		u.srcWait |= 1 << s
 	}
-	c.freeUops = append(c.freeUops, u)
 }
 
 // Occupancy returns the current ROB, LSQ and write-buffer occupancy,
 // for the machine's cycle-sampled telemetry tracks.
 func (c *Core) Occupancy() (rob, lsq, wb int) {
-	return len(c.rob), len(c.lsq), len(c.wb)
+	return c.robLen, len(c.lsq), len(c.wb)
 }
 
 // WorkCount returns a monotonically increasing count of pipeline state
@@ -938,9 +934,9 @@ func (c *Core) NextWake() (cycle uint64, ok bool) {
 	if c.err != nil || c.Quiesced() {
 		return 0, false
 	}
-	for _, u := range c.executing {
-		if !ok || u.doneAt < cycle {
-			cycle, ok = u.doneAt, true
+	for _, p := range c.executing {
+		if d := c.rob[p].doneAt; !ok || d < cycle {
+			cycle, ok = d, true
 		}
 	}
 	if !c.halted && c.haltSeq < 0 && c.fetchStallUntil > c.cycle {
@@ -954,5 +950,5 @@ func (c *Core) NextWake() (cycle uint64, ok bool) {
 // String summarizes the core state for debugging.
 func (c *Core) String() string {
 	return fmt.Sprintf("core %d pc=%d rob=%d lsq=%d wb=%d halted=%v",
-		c.id, c.pc, len(c.rob), len(c.lsq), len(c.wb), c.halted)
+		c.id, c.pc, c.robLen, len(c.lsq), len(c.wb), c.halted)
 }

@@ -24,6 +24,13 @@
 //     core perform in program order; store-to-load forwarding serves a
 //     load from the youngest older store to the same address.
 //
+// In-flight state lives in storage allocated once per core (DESIGN.md
+// §20): the ROB is a ring of uop values, the queues and the rename
+// table hold ROB positions, wakeups follow waiter chains threaded
+// through the consumers' source slots, and a retiring store is copied
+// into the write buffer. Memory-system events find their uop by seq,
+// so the pipeline holds no pointers and allocates nothing per cycle.
+//
 // The memory race recorder observes the core through Hooks; the core
 // itself knows nothing about recording.
 //
@@ -211,40 +218,36 @@ const (
 	uopDone                    // result available
 )
 
-// uop is one in-flight instruction.
+// uop is one in-flight instruction, stored by value in the ROB ring.
 type uop struct {
 	seq uint64
 	pc  int
 	ins isa.Instr
 
-	// Dataflow.
-	srcOwner   [3]*uop // rs1, rs2, rd-as-source; nil = value present
-	srcVal     [3]uint64
-	pendingSrc int
-	waiters    []*uop
+	// Dataflow. Bit s of srcWait is set while source s waits for an
+	// older producer, whose finish fills srcVal[s]. A waiting source is
+	// a link (ROB position<<2 | s) in the producer's waiter chain, from
+	// waitHead to waitTail in dispatch order; srcNext[s] is the next
+	// link, noLink at the tail.
+	srcVal             [3]uint64
+	srcNext            [3]int32
+	waitHead, waitTail int32
+	srcWait            uint8
 
 	state  uopState
 	val    uint64 // result: ALU value, load value, RMW old value
 	doneAt uint64 // cycle the result becomes available
+	addr   uint64
 
-	addr      uint64
-	addrKnown bool
-
-	performed    bool
-	performCycle uint64
-	oooPerform   bool // performed while an older mem op was pending
-
-	predictedTaken bool
-	squashed       bool
-	forwarded      bool
+	// oooPerform: performed while an older mem op was pending.
+	addrKnown, performed, oooPerform, predictedTaken, forwarded bool
 }
 
-func (u *uop) isMem() bool { return u.ins.IsMem() }
-
-// wbEntry is a retired store waiting in the write buffer.
+// wbEntry is a retired store waiting in the write buffer. It owns a
+// copy of the store: the ROB slot freed at retirement.
 type wbEntry struct {
-	u      *uop
-	issued bool
+	seq, addr, val             uint64
+	release, issued, performed bool
 }
 
 // coreTelem holds the core's pre-resolved telemetry handles. The zero
