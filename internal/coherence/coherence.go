@@ -28,11 +28,11 @@
 package coherence
 
 import (
-	"container/heap"
 	"fmt"
 
 	"relaxreplay/internal/faultinject"
 	"relaxreplay/internal/interconnect"
+	"relaxreplay/internal/isa"
 	"relaxreplay/internal/telemetry"
 )
 
@@ -117,21 +117,12 @@ const (
 	Load Kind = iota
 	// Store writes one word.
 	Store
-	// RMW atomically reads a word, applies Request.Apply, and
+	// RMW atomically reads a word, applies Request.Instr to it, and
 	// (conditionally) writes the result.
 	RMW
 )
 
-func (k Kind) String() string {
-	switch k {
-	case Load:
-		return "load"
-	case Store:
-		return "store"
-	default:
-		return "rmw"
-	}
-}
+func (k Kind) String() string { return [...]string{"load", "store", "rmw"}[k] }
 
 // Request is a memory operation submitted by a core's load/store unit.
 type Request struct {
@@ -141,9 +132,10 @@ type Request struct {
 	Kind Kind
 
 	StoreVal uint64
-	// Apply implements the RMW: given the old word it returns the new
-	// word and whether the write takes effect (false for a failed CAS).
-	Apply func(old uint64) (newVal uint64, write bool)
+	// Instr, Rs2 and Rd are the RMW's atomic instruction and its
+	// operand values, applied with isa.AmoApply to the old word.
+	Instr   isa.Instr
+	Rs2, Rd uint64
 }
 
 // PerformEvent reports that an access bound its value: the paper's
@@ -190,47 +182,34 @@ type Stats struct {
 	SupersededWBEvents uint64
 }
 
+// counters lists every Stats field, for the counter-wise arithmetic
+// below; TestStatsCountersComplete keeps the list complete.
+func (s *Stats) counters() [14]*uint64 {
+	return [...]*uint64{&s.L1Hits, &s.L1Misses, &s.Upgrades, &s.DirtyEvictions,
+		&s.Transactions, &s.SnoopsObserved, &s.CacheToCache, &s.L2Misses,
+		&s.RingMessages, &s.MSHRRejects, &s.InvalidationsSent, &s.StaleWritebacks,
+		&s.WBBufferSupplies, &s.SupersededWBEvents}
+}
+
 // Sub returns the counter-wise difference s - o. Both snapshots must
 // come from the same system with s taken later.
 func (s Stats) Sub(o Stats) Stats {
-	return Stats{
-		L1Hits:             s.L1Hits - o.L1Hits,
-		L1Misses:           s.L1Misses - o.L1Misses,
-		Upgrades:           s.Upgrades - o.Upgrades,
-		DirtyEvictions:     s.DirtyEvictions - o.DirtyEvictions,
-		Transactions:       s.Transactions - o.Transactions,
-		SnoopsObserved:     s.SnoopsObserved - o.SnoopsObserved,
-		CacheToCache:       s.CacheToCache - o.CacheToCache,
-		L2Misses:           s.L2Misses - o.L2Misses,
-		RingMessages:       s.RingMessages - o.RingMessages,
-		MSHRRejects:        s.MSHRRejects - o.MSHRRejects,
-		InvalidationsSent:  s.InvalidationsSent - o.InvalidationsSent,
-		StaleWritebacks:    s.StaleWritebacks - o.StaleWritebacks,
-		WBBufferSupplies:   s.WBBufferSupplies - o.WBBufferSupplies,
-		SupersededWBEvents: s.SupersededWBEvents - o.SupersededWBEvents,
+	oc := o.counters()
+	for i, c := range s.counters() {
+		*c -= *oc[i]
 	}
+	return s
 }
 
 // AddScaled adds n copies of the per-cycle delta d to s, mirroring
 // cpu.Stats.AddScaled for the machine's idle-cycle fast-forward. An
-// inert memory system has an all-zero delta, but the method stays
-// field-complete so a future per-cycle counter cannot be silently
-// dropped.
+// inert memory system has an all-zero delta, but every counter is
+// scaled so a future per-cycle counter cannot be silently dropped.
 func (s *Stats) AddScaled(d Stats, n uint64) {
-	s.L1Hits += d.L1Hits * n
-	s.L1Misses += d.L1Misses * n
-	s.Upgrades += d.Upgrades * n
-	s.DirtyEvictions += d.DirtyEvictions * n
-	s.Transactions += d.Transactions * n
-	s.SnoopsObserved += d.SnoopsObserved * n
-	s.CacheToCache += d.CacheToCache * n
-	s.L2Misses += d.L2Misses * n
-	s.RingMessages += d.RingMessages * n
-	s.MSHRRejects += d.MSHRRejects * n
-	s.InvalidationsSent += d.InvalidationsSent * n
-	s.StaleWritebacks += d.StaleWritebacks * n
-	s.WBBufferSupplies += d.WBBufferSupplies * n
-	s.SupersededWBEvents += d.SupersededWBEvents * n
+	dc := d.counters()
+	for i, c := range s.counters() {
+		*c += *dc[i] * n
+	}
 }
 
 // System is the full memory hierarchy for one simulated machine.
@@ -243,9 +222,6 @@ type System struct {
 
 	events   eventQueue
 	eventSeq uint64
-	// freeEvents recycles fired event boxes so the steady-state event
-	// traffic allocates nothing.
-	freeEvents []*event
 
 	// work counts state mutations inside Tick (ring activity, events
 	// fired). The machine's idle-cycle fast-forward treats a tick whose
@@ -271,7 +247,7 @@ type System struct {
 	// numbers and ring injection order exactly.
 	staged     bool
 	stageStats []Stats
-	stageCompl [][]stagedCompletion
+	stageCompl [][]event // completions still lacking their seq
 	stageSends [][]interconnect.Message
 
 	// OnPerform, when set, receives every perform event synchronously,
@@ -355,6 +331,9 @@ func New(cfg Config) *System {
 	if cfg.Cores < 1 {
 		panic("coherence: need at least one core")
 	}
+	if cfg.L1Sets < 1 || cfg.L1Sets&(cfg.L1Sets-1) != 0 {
+		panic(fmt.Sprintf("coherence: L1Sets %d is not a power of two", cfg.L1Sets))
+	}
 	s := &System{
 		cfg:  cfg,
 		ring: interconnect.New(cfg.Cores + 1),
@@ -377,7 +356,7 @@ func (s *System) Cycle() uint64 { return s.cycle }
 
 // MSHROccupancy returns the number of outstanding misses at core's L1,
 // for the machine's cycle-sampled telemetry tracks.
-func (s *System) MSHROccupancy(core int) int { return len(s.l1s[core].mshrs) }
+func (s *System) MSHROccupancy(core int) int { return s.l1s[core].mshrUsed }
 
 // RingQueueDepth returns the number of messages waiting for ring
 // injection across all stations.
@@ -398,10 +377,10 @@ func (s *System) InitWord(addr, val uint64) {
 func (s *System) PeekWord(addr uint64) uint64 {
 	line := LineOf(addr)
 	for _, l1 := range s.l1s {
-		if cl := l1.lookup(line); cl != nil && cl.state == stateM {
-			return cl.data[wordOf(addr)]
+		if w := l1.lookup(line); w >= 0 && l1.states[w] == stateM {
+			return l1.data[w][wordOf(addr)]
 		}
-		if wb := l1.wbEntry(line); wb != nil && !wb.superseded {
+		if wb := l1.wb[line]; wb != nil && !wb.superseded {
 			return wb.data[wordOf(addr)]
 		}
 	}
@@ -423,8 +402,8 @@ func (s *System) FinalMemory() map[uint64]uint64 {
 	for line, e := range s.l2.dir {
 		owned := false
 		for _, l1 := range s.l1s {
-			if cl := l1.lookup(line); cl != nil && cl.state == stateM {
-				emit(line, &cl.data)
+			if w := l1.lookup(line); w >= 0 && l1.states[w] == stateM {
+				emit(line, &l1.data[w])
 				owned = true
 				break
 			}
@@ -443,8 +422,8 @@ func (s *System) Submit(r Request) bool {
 	if r.Addr%8 != 0 {
 		panic(fmt.Sprintf("coherence: unaligned access %#x", r.Addr))
 	}
-	if r.Kind == RMW && r.Apply == nil {
-		panic("coherence: RMW without Apply")
+	if r.Kind == RMW && !r.Instr.IsAtomic() {
+		panic(fmt.Sprintf("coherence: RMW with non-atomic instruction %v", r.Instr))
 	}
 	return s.l1s[r.Core].submit(r)
 }
@@ -477,21 +456,21 @@ func (s *System) Tick() {
 		s.dispatch(d)
 	}
 	for len(s.events) > 0 && s.events[0].cycle <= s.cycle {
-		ev := heap.Pop(&s.events).(*event)
+		ev := s.events.pop()
 		s.work++
-		if ev.fn != nil {
-			ev.fn()
-			ev.fn = nil // release the closure before recycling
-		} else {
-			// Tagged completion event (see complete).
+		switch ev.kind {
+		case evGrant:
+			s.l2.grant(ev.dir)
+		case evPutAck:
+			s.l2.putAck(ev.dir)
+		default:
 			s.completions = append(s.completions, Completion{Core: ev.core, ID: ev.id, Value: ev.value, Cycle: s.cycle}) //rrlint:allow hotpath-alloc (amortized append into reused buffer)
 		}
-		s.freeEvents = append(s.freeEvents, ev)
 	}
 	s.Stats.RingMessages = s.ring.Injected
 	if s.tel.mshrOcc != nil {
 		for i, l1 := range s.l1s {
-			s.tel.mshrOcc.Observe(i, uint64(len(l1.mshrs)))
+			s.tel.mshrOcc.Observe(i, uint64(l1.mshrUsed))
 		}
 	}
 }
@@ -541,15 +520,6 @@ func (s *System) DrainCompletions() []Completion {
 	return out
 }
 
-// stagedCompletion defers one System.complete issued during the
-// sharded core phase until the epoch barrier.
-type stagedCompletion struct {
-	core  int
-	id    uint64
-	value uint64
-	delay uint64
-}
-
 // BeginCorePhase enters staged mode for one cycle's core phase: until
 // EndCorePhase, the submit path (the only System entry point invoked
 // outside Tick) appends its cross-core effects — scheduled
@@ -561,7 +531,7 @@ type stagedCompletion struct {
 func (s *System) BeginCorePhase() {
 	if s.stageStats == nil {
 		s.stageStats = make([]Stats, s.cfg.Cores)
-		s.stageCompl = make([][]stagedCompletion, s.cfg.Cores)
+		s.stageCompl = make([][]event, s.cfg.Cores)
 		s.stageSends = make([][]interconnect.Message, s.cfg.Cores)
 	}
 	s.staged = true
@@ -578,8 +548,8 @@ func (s *System) EndCorePhase() {
 	for core := 0; core < s.cfg.Cores; core++ {
 		s.Stats.AddScaled(s.stageStats[core], 1)
 		s.stageStats[core] = Stats{}
-		for _, sc := range s.stageCompl[core] {
-			s.complete(sc.core, sc.id, sc.value, sc.delay)
+		for _, e := range s.stageCompl[core] {
+			s.push(e)
 		}
 		s.stageCompl[core] = s.stageCompl[core][:0]
 		for _, msg := range s.stageSends[core] {
@@ -624,37 +594,19 @@ func (s *System) dispatch(d interconnect.Delivery) {
 	s.l1s[d.Node].receive(d.Msg, d.Final)
 }
 
-// at schedules an arbitrary protocol action on the machine-global
-// event heap. Memory-phase only: the heap and the sequence counter
-// are coordinator-owned.
+// push gives e the next sequence number and sifts it into the event
+// heap. Memory-phase only: the heap and the sequence counter are
+// coordinator-owned.
 //
 //rrlint:coordinator
-func (s *System) at(delay uint64, fn func()) {
-	e := s.takeEvent()
-	e.cycle = s.cycle + delay
-	e.fn = fn
-	heap.Push(&s.events, e)
-}
-
-// takeEvent returns a reset event box with a fresh sequence number,
-// reusing a fired one when available. Coordinator-owned: the sequence
-// counter and free list are machine-global.
-//
-//rrlint:hotpath
-//rrlint:coordinator
-func (s *System) takeEvent() *event {
+func (s *System) push(e event) {
 	s.eventSeq++
-	var e *event
-	if n := len(s.freeEvents); n > 0 {
-		e = s.freeEvents[n-1]
-		s.freeEvents[n-1] = nil
-		s.freeEvents = s.freeEvents[:n-1]
-		*e = event{} //rrlint:allow hotpath-alloc (in-place reset of recycled box)
-	} else {
-		e = new(event)
-	}
 	e.seq = s.eventSeq
-	return e
+	h := append(s.events, e)
+	for i := len(h) - 1; i > 0 && h.less(i, (i-1)/2); i = (i - 1) / 2 {
+		h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
+	}
+	s.events = h
 }
 
 func (s *System) perform(ev PerformEvent) {
@@ -666,24 +618,22 @@ func (s *System) perform(ev PerformEvent) {
 	s.performs = append(s.performs, ev)
 }
 
-// complete schedules a pipeline completion notification. It is the
-// highest-traffic event kind, so instead of a closure it uses a tagged
-// event (fn == nil) whose payload rides in the event box itself.
-// During a sharded core phase the completion is staged per core and
-// scheduled at the epoch barrier (same cycle, so the delay reproduces
-// the identical fire cycle).
+// complete schedules a pipeline completion notification, an event
+// whose payload rides in the event itself. During a sharded core phase
+// the completion is staged per core and gets its sequence number at
+// the epoch barrier, in the same cycle.
 //
 //rrlint:hotpath
 //rrlint:handoff
 func (s *System) complete(core int, id uint64, value uint64, delay uint64) {
+	var e event
+	e.cycle, e.kind = s.cycle+delay, evComplete
+	e.core, e.id, e.value = core, id, value
 	if s.staged {
-		s.stageCompl[core] = append(s.stageCompl[core], stagedCompletion{core: core, id: id, value: value, delay: delay}) //rrlint:allow hotpath-alloc (amortized append into reused buffer)
+		s.stageCompl[core] = append(s.stageCompl[core], e)
 		return
 	}
-	e := s.takeEvent()
-	e.cycle = s.cycle + delay
-	e.core, e.id, e.value = core, id, value
-	heap.Push(&s.events, e)
+	s.push(e)
 }
 
 func (s *System) observeSnoop(core int, line uint64, isWrite bool, requester int) {
@@ -696,34 +646,51 @@ func (s *System) observeSnoop(core int, line uint64, isWrite bool, requester int
 
 // event queue -----------------------------------------------------------
 
+// eventKind tags what a heap event does when it fires.
+type eventKind uint8
+
+const (
+	evComplete eventKind = iota // pipeline completion: core, id, value
+	evGrant                     // L2 data grant for dir's transaction
+	evPutAck                    // L2 PutM acknowledgement for dir's writeback
+)
+
 type event struct {
 	cycle uint64
 	seq   uint64
-	// fn, when non-nil, is an arbitrary protocol action. When nil the
-	// event is a tagged completion carrying its payload inline (see
-	// System.complete), which keeps the hottest event kind closure-free.
-	fn    func()
+	kind  eventKind
 	core  int
 	id    uint64
 	value uint64
+	dir   *dirEntry
 }
 
-type eventQueue []*event
+// eventQueue is a binary min-heap of event values ordered by (cycle,
+// seq). The order is total, so events fire in a unique sequence.
+type eventQueue []event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
+func (q eventQueue) less(i, j int) bool {
 	if q[i].cycle != q[j].cycle {
 		return q[i].cycle < q[j].cycle
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+
+func (q *eventQueue) pop() event {
+	h := *q
+	top, n := h[0], len(h)-1
+	h[0] = h[n]
+	h[n].dir = nil
+	h = h[:n]
+	for i, m := 0, 1; m < n; i, m = m, 2*m+1 {
+		if m+1 < n && h.less(m+1, m) {
+			m++
+		}
+		if !h.less(m, i) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+	}
+	*q = h
+	return top
 }

@@ -2,7 +2,10 @@ package coherence
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"relaxreplay/internal/isa"
 )
 
 // testConfig returns a small, fast configuration.
@@ -32,10 +35,15 @@ func (h *harness) tick() {
 }
 
 // submit retries until the system accepts the request, then returns its id.
-func (h *harness) submit(core int, kind Kind, addr, val uint64, apply func(uint64) (uint64, bool)) uint64 {
-	id := h.nextID[core]
-	h.nextID[core]++
-	r := Request{Core: core, ID: id, Addr: addr, Kind: kind, StoreVal: val, Apply: apply}
+func (h *harness) submit(core int, kind Kind, addr, val uint64) uint64 {
+	return h.submitReq(Request{Core: core, Addr: addr, Kind: kind, StoreVal: val})
+}
+
+// submitReq is submit for a prepared request; it assigns the id.
+func (h *harness) submitReq(r Request) uint64 {
+	id := h.nextID[r.Core]
+	h.nextID[r.Core]++
+	r.ID = id
 	for i := 0; ; i++ {
 		if h.sys.Submit(r) {
 			return id
@@ -88,7 +96,7 @@ func TestLoadMissThenHit(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			h := newHarness(t, testConfig(2, p))
 			h.sys.InitWord(0x100, 42)
-			id := h.submit(0, Load, 0x100, 0, nil)
+			id := h.submit(0, Load, 0x100, 0)
 			h.drain()
 			if got := h.completionOf(0, id).Value; got != 42 {
 				t.Fatalf("miss load = %d, want 42", got)
@@ -99,7 +107,7 @@ func TestLoadMissThenHit(t *testing.T) {
 			}
 			// Second load: L1 hit, completes in exactly hit latency.
 			start := h.sys.Cycle()
-			id2 := h.submit(0, Load, 0x100, 0, nil)
+			id2 := h.submit(0, Load, 0x100, 0)
 			h.drain()
 			c2 := h.completionOf(0, id2)
 			if c2.Value != 42 {
@@ -119,9 +127,9 @@ func TestStoreVisibleToOtherCore(t *testing.T) {
 	for name, p := range protocols() {
 		t.Run(name, func(t *testing.T) {
 			h := newHarness(t, testConfig(4, p))
-			h.submit(0, Store, 0x200, 7, nil)
+			h.submit(0, Store, 0x200, 7)
 			h.drain()
-			id := h.submit(3, Load, 0x200, 0, nil)
+			id := h.submit(3, Load, 0x200, 0)
 			h.drain()
 			if got := h.completionOf(3, id).Value; got != 7 {
 				t.Fatalf("remote load = %d, want 7 (%s)", got, name)
@@ -138,16 +146,16 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			h := newHarness(t, testConfig(3, p))
 			// Both 1 and 2 read the line (S copies).
-			h.submit(1, Load, 0x300, 0, nil)
-			h.submit(2, Load, 0x300, 0, nil)
+			h.submit(1, Load, 0x300, 0)
+			h.submit(2, Load, 0x300, 0)
 			h.drain()
 			// 0 writes.
-			h.submit(0, Store, 0x300, 99, nil)
+			h.submit(0, Store, 0x300, 99)
 			h.drain()
 			// Both re-read; must see 99.
-			a := h.submit(1, Load, 0x300, 0, nil)
+			a := h.submit(1, Load, 0x300, 0)
 			h.drain()
-			b := h.submit(2, Load, 0x300, 0, nil)
+			b := h.submit(2, Load, 0x300, 0)
 			h.drain()
 			if h.completionOf(1, a).Value != 99 || h.completionOf(2, b).Value != 99 {
 				t.Fatalf("stale value after invalidation (%s)", name)
@@ -158,11 +166,11 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 
 func TestExclusiveGrantSilentUpgrade(t *testing.T) {
 	h := newHarness(t, testConfig(2, Snoopy))
-	h.submit(0, Load, 0x400, 0, nil) // sole reader -> E
+	h.submit(0, Load, 0x400, 0) // sole reader -> E
 	h.drain()
 	tx := h.sys.Stats.Transactions
 	// Store to the same line must hit locally (silent E->M).
-	id := h.submit(0, Store, 0x400, 5, nil)
+	id := h.submit(0, Store, 0x400, 5)
 	h.drain()
 	if h.sys.Stats.Transactions != tx {
 		t.Fatalf("E->M upgrade should be silent; transactions %d -> %d", tx, h.sys.Stats.Transactions)
@@ -177,12 +185,12 @@ func TestSharedStoreUpgrades(t *testing.T) {
 	for name, p := range protocols() {
 		t.Run(name, func(t *testing.T) {
 			h := newHarness(t, testConfig(2, p))
-			h.submit(0, Load, 0x500, 0, nil)
-			h.submit(1, Load, 0x500, 0, nil)
+			h.submit(0, Load, 0x500, 0)
+			h.submit(1, Load, 0x500, 0)
 			h.drain() // both S (one may be E then downgraded)
-			h.submit(0, Store, 0x500, 11, nil)
+			h.submit(0, Store, 0x500, 11)
 			h.drain()
-			id := h.submit(1, Load, 0x500, 0, nil)
+			id := h.submit(1, Load, 0x500, 0)
 			h.drain()
 			if got := h.completionOf(1, id).Value; got != 11 {
 				t.Fatalf("load after upgrade = %d", got)
@@ -196,12 +204,12 @@ func TestRMWAtomicIncrements(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			const cores, per = 4, 25
 			h := newHarness(t, testConfig(cores, p))
-			inc := func(old uint64) (uint64, bool) { return old + 1, true }
 			done := make([]int, cores)
 			for !allDone(done, per) {
 				for c := 0; c < cores; c++ {
 					if done[c] < per {
-						h.sys.Submit(Request{Core: c, ID: uint64(done[c]), Addr: 0x600, Kind: RMW, Apply: inc})
+						h.sys.Submit(Request{Core: c, ID: uint64(done[c]), Addr: 0x600, Kind: RMW,
+							Instr: isa.Instr{Op: isa.AMOADD}, Rs2: 1})
 						done[c]++
 					}
 				}
@@ -227,7 +235,7 @@ func allDone(done []int, per int) bool {
 func TestCASFailureDoesNotWrite(t *testing.T) {
 	h := newHarness(t, testConfig(1, Snoopy))
 	h.sys.InitWord(0x700, 10)
-	id := h.submit(0, RMW, 0x700, 0, func(old uint64) (uint64, bool) { return 99, old == 11 })
+	id := h.submitReq(Request{Core: 0, Addr: 0x700, Kind: RMW, Instr: isa.Instr{Op: isa.CAS}, Rs2: 99, Rd: 11})
 	h.drain()
 	if got := h.completionOf(0, id).Value; got != 10 {
 		t.Fatalf("CAS old = %d", got)
@@ -246,7 +254,7 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 	h.nextID = make([]uint64, cfg.Cores)
 	// Write many distinct lines mapping to few sets.
 	for i := 0; i < 16; i++ {
-		h.submit(0, Store, uint64(i)*LineSize, uint64(i+1), nil)
+		h.submit(0, Store, uint64(i)*LineSize, uint64(i+1))
 		h.drain()
 	}
 	if h.sys.Stats.DirtyEvictions == 0 {
@@ -254,7 +262,7 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 	}
 	// All values must survive eviction: read them back from core 1.
 	for i := 0; i < 16; i++ {
-		id := h.submit(1, Load, uint64(i)*LineSize, 0, nil)
+		id := h.submit(1, Load, uint64(i)*LineSize, 0)
 		h.drain()
 		if got := h.completionOf(1, id).Value; got != uint64(i+1) {
 			t.Fatalf("line %d lost on eviction: %d", i, got)
@@ -273,7 +281,7 @@ func TestSnoopObserverSnoopySeesAllTraffic(t *testing.T) {
 	h.sys.OnRemoteSnoop = func(core int, line uint64, w bool, _ int, _ uint64) {
 		seen = append(seen, obs{core, line, w})
 	}
-	h.submit(0, Store, 0x800, 1, nil)
+	h.submit(0, Store, 0x800, 1)
 	h.drain()
 	// Cores 1..3 must all have observed the GetM; core 0 must not.
 	got := map[int]bool{}
@@ -300,10 +308,10 @@ func TestSnoopObserverDirectoryTargetedOnly(t *testing.T) {
 		observers = append(observers, core)
 	}
 	// Core 2 caches the line; core 0 writes it. Only core 2 should observe.
-	h.submit(2, Load, 0x900, 0, nil)
+	h.submit(2, Load, 0x900, 0)
 	h.drain()
 	observers = nil
-	h.submit(0, Store, 0x900, 1, nil)
+	h.submit(0, Store, 0x900, 1)
 	h.drain()
 	if len(observers) != 1 || observers[0] != 2 {
 		t.Fatalf("observers = %v, want [2]", observers)
@@ -318,9 +326,9 @@ func TestDirtyEvictCallback(t *testing.T) {
 	h.nextID = make([]uint64, 1)
 	var evicted []uint64
 	h.sys.OnDirtyEvict = func(_ int, line uint64, _ uint64) { evicted = append(evicted, line) }
-	h.submit(0, Store, 0, 1, nil)
+	h.submit(0, Store, 0, 1)
 	h.drain()
-	h.submit(0, Store, LineSize, 2, nil) // conflicts in the 1-entry cache
+	h.submit(0, Store, LineSize, 2) // conflicts in the 1-entry cache
 	h.drain()
 	if len(evicted) != 1 || evicted[0] != 0 {
 		t.Fatalf("evicted = %v", evicted)
@@ -329,7 +337,7 @@ func TestDirtyEvictCallback(t *testing.T) {
 
 func TestPerformPrecedesCompletion(t *testing.T) {
 	h := newHarness(t, testConfig(2, Snoopy))
-	id := h.submit(0, Load, 0xA00, 0, nil)
+	id := h.submit(0, Load, 0xA00, 0)
 	h.drain()
 	p, c := h.performOf(0, id), h.completionOf(0, id)
 	if p.Cycle > c.Cycle {
@@ -342,8 +350,8 @@ func TestPerformPrecedesCompletion(t *testing.T) {
 
 func TestFinalMemoryMergesOwnedLines(t *testing.T) {
 	h := newHarness(t, testConfig(2, Snoopy))
-	h.submit(0, Store, 0xB00, 123, nil)
-	h.submit(1, Store, 0xB40, 456, nil)
+	h.submit(0, Store, 0xB00, 123)
+	h.submit(1, Store, 0xB40, 456)
 	h.drain()
 	mem := h.sys.FinalMemory()
 	if mem[0xB00] != 123 || mem[0xB40] != 456 {
@@ -478,7 +486,7 @@ func TestL2ResidencyLatency(t *testing.T) {
 	h := newHarness(t, cfg)
 	h.sys = New(cfg)
 	h.nextID = make([]uint64, 1)
-	h.submit(0, Load, 0, 0, nil)
+	h.submit(0, Load, 0, 0)
 	h.drain()
 	first := h.sys.Stats.L2Misses
 	if first == 0 {
@@ -486,9 +494,9 @@ func TestL2ResidencyLatency(t *testing.T) {
 	}
 	// A different line evicts residency; re-touching the first line
 	// must pay the memory latency again.
-	h.submit(0, Load, LineSize, 0, nil)
+	h.submit(0, Load, LineSize, 0)
 	h.drain()
-	h.submit(0, Load, 4096*LineSize, 0, nil) // far line, avoid L1 set reuse
+	h.submit(0, Load, 4096*LineSize, 0) // far line, avoid L1 set reuse
 	h.drain()
 	if h.sys.Stats.L2Misses <= first {
 		t.Fatal("expected more L2 misses after capacity eviction")
@@ -506,7 +514,7 @@ func TestWritebackRaceSupersede(t *testing.T) {
 	h.nextID = make([]uint64, cfg.Cores)
 
 	// Core 0 dirties line A, then dirties conflicting line B to evict A.
-	h.submit(0, Store, 0, 7, nil)
+	h.submit(0, Store, 0, 7)
 	h.drain()
 	a := h.sys.Submit(Request{Core: 0, ID: 90, Addr: LineSize, Kind: Store, StoreVal: 9})
 	if !a {
@@ -525,7 +533,7 @@ func TestWritebackRaceSupersede(t *testing.T) {
 		t.Fatalf("line B = %d", got)
 	}
 	// Read everything back from core 1 to flush states.
-	id := h.submit(1, Load, LineSize, 0, nil)
+	id := h.submit(1, Load, LineSize, 0)
 	h.drain()
 	if h.completionOf(1, id).Value != 9 {
 		t.Fatal("line B lost")
@@ -542,13 +550,13 @@ func TestDirectoryStaleSharerAck(t *testing.T) {
 
 	// Core 1 reads line A (registered as sharer), then reads
 	// conflicting line B, silently evicting A.
-	h.submit(1, Load, 0, 0, nil)
+	h.submit(1, Load, 0, 0)
 	h.drain()
-	h.submit(1, Load, LineSize, 0, nil)
+	h.submit(1, Load, LineSize, 0)
 	h.drain()
 	// Core 0 writes line A: the directory still invalidates core 1,
 	// which must ack without data. The transaction must complete.
-	h.submit(0, Store, 0, 5, nil)
+	h.submit(0, Store, 0, 5)
 	h.drain()
 	if got := h.sys.PeekWord(0); got != 5 {
 		t.Fatalf("write never completed: %d", got)
@@ -560,16 +568,16 @@ func TestDirectoryStaleSharerAck(t *testing.T) {
 
 func TestDirectoryOwnerDowngradeOnRead(t *testing.T) {
 	h := newHarness(t, testConfig(2, Directory))
-	h.submit(0, Store, 0x40, 3, nil) // core 0 owns M
+	h.submit(0, Store, 0x40, 3) // core 0 owns M
 	h.drain()
-	id := h.submit(1, Load, 0x40, 0, nil) // fetch + downgrade
+	id := h.submit(1, Load, 0x40, 0) // fetch + downgrade
 	h.drain()
 	if h.completionOf(1, id).Value != 3 {
 		t.Fatal("downgrade lost the dirty data")
 	}
 	// Core 0 can still read its (now S) copy locally.
 	tx := h.sys.Stats.Transactions
-	id2 := h.submit(0, Load, 0x40, 0, nil)
+	id2 := h.submit(0, Load, 0x40, 0)
 	h.drain()
 	if h.completionOf(0, id2).Value != 3 || h.sys.Stats.Transactions != tx {
 		t.Fatal("S copy not retained after downgrade")
@@ -583,8 +591,8 @@ func TestUpgradeRaceLosesCopy(t *testing.T) {
 	for name, p := range protocols() {
 		t.Run(name, func(t *testing.T) {
 			h := newHarness(t, testConfig(2, p))
-			h.submit(0, Load, 0x80, 0, nil)
-			h.submit(1, Load, 0x80, 0, nil)
+			h.submit(0, Load, 0x80, 0)
+			h.submit(1, Load, 0x80, 0)
 			h.drain()
 			// Simultaneous upgrades.
 			h.sys.Submit(Request{Core: 0, ID: 50, Addr: 0x80, Kind: Store, StoreVal: 1})
@@ -616,12 +624,31 @@ func TestRMWCoalescedBehindLoadMiss(t *testing.T) {
 	h.sys.InitWord(0x40, 10)
 	h.sys.Submit(Request{Core: 0, ID: 1, Addr: 0x40, Kind: Load})
 	h.sys.Submit(Request{Core: 0, ID: 2, Addr: 0x40, Kind: RMW,
-		Apply: func(old uint64) (uint64, bool) { return old + 5, true }})
+		Instr: isa.Instr{Op: isa.AMOADD}, Rs2: 5})
 	h.drain()
 	if got := h.sys.PeekWord(0x40); got != 15 {
 		t.Fatalf("RMW lost: %d", got)
 	}
 	if h.completionOf(0, 1).Value != 10 {
 		t.Fatal("load observed post-RMW value despite being older in submit order")
+	}
+}
+
+// TestStatsCountersComplete: Sub and AddScaled walk Stats.counters,
+// so a field missing from that list would be silently dropped.
+func TestStatsCountersComplete(t *testing.T) {
+	var s Stats
+	if n := reflect.TypeOf(s).NumField(); n != len(s.counters()) {
+		t.Fatalf("Stats has %d fields, counters lists %d", n, len(s.counters()))
+	}
+	seen := make(map[*uint64]bool)
+	for _, c := range s.counters() {
+		seen[c] = true
+	}
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if !seen[v.Field(i).Addr().Interface().(*uint64)] {
+			t.Errorf("Stats.%s missing from counters", v.Type().Field(i).Name)
+		}
 	}
 }

@@ -4,80 +4,109 @@ import (
 	"fmt"
 
 	"relaxreplay/internal/interconnect"
+	"relaxreplay/internal/isa"
 )
 
-// cacheLine is one L1 line.
-type cacheLine struct {
-	tag     uint64 // line address
-	state   lineState
-	data    LineData
-	lastUse uint64 // LRU clock
-}
+// noTag marks an invalid way in an L1 tag array. Line numbers are
+// addresses shifted right by lineShift, so no line reaches it.
+const noTag = ^uint64(0)
 
-// mshr tracks one outstanding miss; operations to the same line
-// coalesce onto it.
+// mshr is one MSHR slot: an outstanding miss that operations to the
+// same line coalesce onto. A slot is free when it has no waiters; the
+// waiters backing array is kept from one miss to the next, and req is
+// the slot's GetS/GetM message (the L2 drops it before granting).
 type mshr struct {
 	line    uint64
 	wantM   bool // a store/RMW is waiting, so M is required
-	issued  reqKind
 	waiters []Request
+	req     reqMsg
 }
 
 // wbent is a writeback buffer entry: an evicted dirty line waiting for
 // the L2 to order and acknowledge its PutM. The entry keeps supplying
 // data to snoops until a remote write supersedes it.
 type wbent struct {
-	line       uint64
 	data       LineData
 	superseded bool
 	pending    int // outstanding PutM acks for this line
 }
 
+// l1cache is one core's L1. The tag, state, data and LRU arrays are
+// flat and indexed set*ways+way, so a lookup reads one set's tags
+// (one host cache line at the default four ways); a way is invalid
+// exactly when its tag is noTag. The MSHRs are L1MSHRs fixed slots.
 type l1cache struct {
-	sys   *System
-	core  int
-	sets  [][]cacheLine
-	mshrs map[uint64]*mshr
-	wb    map[uint64]*wbent
-	clock uint64
+	sys     *System
+	core    int
+	ways    int
+	setMask uint64
+
+	tags    []uint64
+	states  []lineState
+	data    []LineData
+	lastUse []uint64 // LRU clock
+	clock   uint64
+
+	mshrs    []mshr
+	mshrUsed int // occupied slots
+	wb       map[uint64]*wbent
 }
 
 func newL1(sys *System, core int) *l1cache {
-	sets := make([][]cacheLine, sys.cfg.L1Sets)
-	for i := range sets {
-		sets[i] = make([]cacheLine, sys.cfg.L1Ways)
+	n := sys.cfg.L1Sets * sys.cfg.L1Ways
+	c := &l1cache{
+		sys:     sys,
+		core:    core,
+		ways:    sys.cfg.L1Ways,
+		setMask: uint64(sys.cfg.L1Sets - 1),
+		tags:    make([]uint64, n),
+		states:  make([]lineState, n),
+		data:    make([]LineData, n),
+		lastUse: make([]uint64, n),
+		mshrs:   make([]mshr, sys.cfg.L1MSHRs),
+		wb:      make(map[uint64]*wbent),
 	}
-	return &l1cache{
-		sys:   sys,
-		core:  core,
-		sets:  sets,
-		mshrs: make(map[uint64]*mshr),
-		wb:    make(map[uint64]*wbent),
+	for i := range c.tags {
+		c.tags[i] = noTag
 	}
+	return c
 }
 
-func (c *l1cache) busy() bool { return len(c.mshrs) > 0 || len(c.wb) > 0 }
+func (c *l1cache) busy() bool { return c.mshrUsed > 0 || len(c.wb) > 0 }
 
-func (c *l1cache) set(line uint64) []cacheLine {
-	return c.sets[line%uint64(len(c.sets))]
-}
+// setBase returns the index of way 0 of line's set.
+func (c *l1cache) setBase(line uint64) int { return int(line&c.setMask) * c.ways }
 
-// lookup returns the valid line or nil.
-func (c *l1cache) lookup(line uint64) *cacheLine {
-	set := c.set(line)
-	for i := range set {
-		if set[i].state != stateI && set[i].tag == line {
-			return &set[i]
+// lookup returns the index of line's valid way, or -1.
+//
+//rrlint:hotpath
+func (c *l1cache) lookup(line uint64) int {
+	base := c.setBase(line)
+	for i, tag := range c.tags[base : base+c.ways] {
+		if tag == line {
+			return base + i
 		}
 	}
-	return nil
+	return -1
 }
 
-func (c *l1cache) wbEntry(line uint64) *wbent { return c.wb[line] }
+// mshrFor returns the slot of line's outstanding miss, or -1. Slots
+// fill lowest first, so the scan stops after the occupied ones.
+func (c *l1cache) mshrFor(line uint64) int {
+	for i, seen := 0, 0; seen < c.mshrUsed; i++ {
+		if m := &c.mshrs[i]; len(m.waiters) > 0 {
+			if m.line == line {
+				return i
+			}
+			seen++
+		}
+	}
+	return -1
+}
 
-func (c *l1cache) touch(cl *cacheLine) {
+func (c *l1cache) touch(w int) {
 	c.clock++
-	cl.lastUse = c.clock
+	c.lastUse[w] = c.clock
 }
 
 // submit accepts one memory operation; false means "retry next cycle".
@@ -89,11 +118,13 @@ func (c *l1cache) touch(cl *cacheLine) {
 // funneled through the staging handoffs (statsFor, complete, send).
 //
 //rrlint:shardphase
+//rrlint:hotpath
 func (c *l1cache) submit(r Request) bool {
 	line := LineOf(r.Addr)
 
 	// Coalesce onto an outstanding miss.
-	if m := c.mshrs[line]; m != nil {
+	if i := c.mshrFor(line); i >= 0 {
+		m := &c.mshrs[i]
 		m.waiters = append(m.waiters, r)
 		if r.Kind != Load {
 			m.wantM = true
@@ -101,22 +132,22 @@ func (c *l1cache) submit(r Request) bool {
 		return true
 	}
 
-	cl := c.lookup(line)
+	w := c.lookup(line)
 	switch {
-	case r.Kind == Load && cl != nil:
-		c.bindLoad(r, cl)
+	case r.Kind == Load && w >= 0:
+		c.bindLoad(r, w)
 		c.sys.statsFor(c.core).L1Hits++
 		c.sys.tel.l1Hits.Inc(c.core)
 		return true
-	case r.Kind != Load && cl != nil && (cl.state == stateM || cl.state == stateE):
-		c.bindWrite(r, cl)
+	case r.Kind != Load && w >= 0 && (c.states[w] == stateM || c.states[w] == stateE):
+		c.bindWrite(r, w)
 		c.sys.statsFor(c.core).L1Hits++
 		c.sys.tel.l1Hits.Inc(c.core)
 		return true
 	}
 
 	// Miss (or store hit on a shared line: upgrade).
-	if len(c.mshrs) >= c.sys.cfg.L1MSHRs {
+	if c.mshrUsed >= len(c.mshrs) {
 		c.sys.statsFor(c.core).MSHRRejects++
 		c.sys.tel.mshrRejects.Inc(c.core)
 		return false
@@ -125,57 +156,60 @@ func (c *l1cache) submit(r Request) bool {
 	if r.Kind != Load {
 		kind = reqGetM
 	}
-	if cl != nil && kind == reqGetM {
+	if w >= 0 && kind == reqGetM {
 		c.sys.statsFor(c.core).Upgrades++
 		c.sys.tel.upgrades.Inc(c.core)
 	} else {
 		c.sys.statsFor(c.core).L1Misses++
 		c.sys.tel.l1Misses.Inc(c.core)
 	}
-	m := &mshr{line: line, wantM: kind == reqGetM, issued: kind, waiters: []Request{r}}
-	c.mshrs[line] = m
-	c.request(kind, line, LineData{})
+	m := &c.mshrs[0]
+	for i := 1; len(m.waiters) > 0; i++ {
+		m = &c.mshrs[i]
+	}
+	m.line, m.wantM = line, kind == reqGetM
+	m.waiters = append(m.waiters[:0], r)
+	c.mshrUsed++
+	m.req.kind, m.req.line, m.req.core = kind, line, c.core
+	c.request(&m.req)
 	return true
 }
 
-func (c *l1cache) request(kind reqKind, line uint64, data LineData) {
-	c.sys.send(c.core, interconnect.Message{
-		Src:     c.core,
-		Dst:     c.sys.cfg.Cores,
-		Payload: &reqMsg{kind: kind, line: line, core: c.core, data: data},
-	})
+// request sends a request message to the L2 agent.
+func (c *l1cache) request(msg *reqMsg) {
+	c.sys.send(c.core, interconnect.Message{Src: c.core, Dst: c.sys.cfg.Cores, Payload: msg})
 }
 
-// bindLoad reads the word, fires the perform event now, and schedules
-// the pipeline completion after the L1 hit latency.
-func (c *l1cache) bindLoad(r Request, cl *cacheLine) {
-	c.touch(cl)
-	v := cl.data[wordOf(r.Addr)]
-	c.sys.perform(PerformEvent{Core: r.Core, ID: r.ID, Line: cl.tag, Addr: r.Addr, IsRead: true, Value: v})
+// bindLoad reads the word from way w, fires the perform event now,
+// and schedules the pipeline completion after the L1 hit latency.
+func (c *l1cache) bindLoad(r Request, w int) {
+	c.touch(w)
+	v := c.data[w][wordOf(r.Addr)]
+	c.sys.perform(PerformEvent{Core: r.Core, ID: r.ID, Line: c.tags[w], Addr: r.Addr, IsRead: true, Value: v})
 	c.sys.complete(r.Core, r.ID, v, c.sys.cfg.L1HitLat)
 }
 
-// bindWrite applies a store or RMW to an owned (M/E) line.
-func (c *l1cache) bindWrite(r Request, cl *cacheLine) {
-	c.touch(cl)
-	cl.state = stateM
-	w := wordOf(r.Addr)
+// bindWrite applies a store or RMW to the owned (M/E) line in way w.
+func (c *l1cache) bindWrite(r Request, w int) {
+	c.touch(w)
+	c.states[w] = stateM
+	word := &c.data[w][wordOf(r.Addr)]
 	switch r.Kind {
 	case Store:
-		cl.data[w] = r.StoreVal
+		*word = r.StoreVal
 		c.sys.perform(PerformEvent{
-			Core: r.Core, ID: r.ID, Line: cl.tag, Addr: r.Addr, IsWrite: true,
+			Core: r.Core, ID: r.ID, Line: c.tags[w], Addr: r.Addr, IsWrite: true,
 			Value: r.StoreVal, StoredVal: r.StoreVal, DidWrite: true,
 		})
 		c.sys.complete(r.Core, r.ID, 0, c.sys.cfg.L1HitLat)
 	case RMW:
-		old := cl.data[w]
-		newVal, write := r.Apply(old)
+		old := *word
+		newVal, write := isa.AmoApply(r.Instr, old, r.Rs2, r.Rd)
 		if write {
-			cl.data[w] = newVal
+			*word = newVal
 		}
 		c.sys.perform(PerformEvent{
-			Core: r.Core, ID: r.ID, Line: cl.tag, Addr: r.Addr, IsWrite: true, IsRead: true,
+			Core: r.Core, ID: r.ID, Line: c.tags[w], Addr: r.Addr, IsWrite: true, IsRead: true,
 			Value: old, StoredVal: newVal, DidWrite: write,
 		})
 		c.sys.complete(r.Core, r.ID, old, c.sys.cfg.L1HitLat)
@@ -257,15 +291,15 @@ func (c *l1cache) receive(msg interconnect.Message, final bool) {
 // returns the line data when this cache (or its writeback buffer) was
 // the owner, plus whether the line was held at all.
 func (c *l1cache) snooped(line uint64, isWrite bool) (data LineData, hasData, held bool) {
-	if cl := c.lookup(line); cl != nil {
+	if w := c.lookup(line); w >= 0 {
 		held = true
-		if cl.state == stateM {
-			data, hasData = cl.data, true
+		if c.states[w] == stateM {
+			data, hasData = c.data[w], true
 		}
 		if isWrite {
-			cl.state = stateI
-		} else if cl.state != stateS {
-			cl.state = stateS
+			c.states[w], c.tags[w] = stateI, noTag
+		} else {
+			c.states[w] = stateS
 		}
 		return data, hasData, held
 	}
@@ -283,29 +317,29 @@ func (c *l1cache) snooped(line uint64, isWrite bool) (data LineData, hasData, he
 
 // grant installs a granted line and binds all coalesced waiters.
 func (c *l1cache) grant(p *dataMsg) {
-	m := c.mshrs[p.line]
-	if m == nil {
+	i := c.mshrFor(p.line)
+	if i < 0 {
 		panic(fmt.Sprintf("coherence: core %d grant for line %#x without MSHR", c.core, p.line))
 	}
+	m := &c.mshrs[i]
 
 	if m.wantM && p.state == stateS {
 		// A store joined a GetS in flight and the grant is only S:
 		// complete the load waiters now and upgrade for the rest.
-		c.install(p.line, p.data, stateS)
-		cl := c.lookup(p.line)
+		w := c.install(p.line, &p.data, stateS)
 		rest := m.waiters[:0]
 		for _, r := range m.waiters {
 			if r.Kind == Load {
-				c.bindLoad(r, cl)
+				c.bindLoad(r, w)
 			} else {
 				rest = append(rest, r)
 			}
 		}
 		m.waiters = rest
-		m.issued = reqGetM
 		c.sys.Stats.Upgrades++
 		c.sys.tel.upgrades.Inc(c.core)
-		c.request(reqGetM, p.line, LineData{})
+		m.req.kind = reqGetM
+		c.request(&m.req)
 		return
 	}
 
@@ -313,62 +347,65 @@ func (c *l1cache) grant(p *dataMsg) {
 	if m.wantM {
 		st = stateM // E grants upgrade silently
 	}
-	c.install(p.line, p.data, st)
-	cl := c.lookup(p.line)
+	w := c.install(p.line, &p.data, st)
 	for _, r := range m.waiters {
 		if r.Kind == Load {
-			c.bindLoad(r, cl)
+			c.bindLoad(r, w)
 		} else {
-			c.bindWrite(r, cl)
+			c.bindWrite(r, w)
 		}
 	}
-	delete(c.mshrs, p.line)
+	m.waiters = m.waiters[:0]
+	c.mshrUsed--
 }
 
-// install places a line into the cache, evicting as needed.
-func (c *l1cache) install(line uint64, data LineData, st lineState) {
-	set := c.set(line)
+// install places a line into the cache, evicting as needed, and
+// returns its way.
+func (c *l1cache) install(line uint64, data *LineData, st lineState) int {
+	base := c.setBase(line)
 	victim := -1
-	for i := range set {
-		if set[i].state != stateI && set[i].tag == line {
-			victim = i // refresh in place (e.g. S copy being upgraded)
+	for w := base; w < base+c.ways; w++ {
+		if c.tags[w] == line {
+			victim = w // refresh in place (e.g. S copy being upgraded)
 			break
 		}
-		if set[i].state == stateI {
-			victim = i
+		if c.tags[w] == noTag {
+			victim = w
 		}
 	}
-	if victim == -1 {
-		victim = 0
-		for i := 1; i < len(set); i++ {
-			if set[i].lastUse < set[victim].lastUse {
-				victim = i
+	if victim < 0 {
+		victim = base
+		for w := base + 1; w < base+c.ways; w++ {
+			if c.lastUse[w] < c.lastUse[victim] {
+				victim = w
 			}
 		}
-		c.evict(&set[victim])
+		c.evict(victim)
 	}
-	set[victim] = cacheLine{tag: line, state: st, data: data}
-	c.touch(&set[victim])
+	c.tags[victim], c.states[victim], c.data[victim] = line, st, *data
+	c.touch(victim)
+	return victim
 }
 
-// evict writes back a dirty victim through the writeback buffer;
-// clean victims are dropped silently (MESI allows it).
-func (c *l1cache) evict(cl *cacheLine) {
-	if cl.state != stateM {
+// evict writes back the dirty victim in way w through the writeback
+// buffer; clean victims are dropped silently (MESI allows it).
+func (c *l1cache) evict(w int) {
+	if c.states[w] != stateM {
 		return
 	}
+	line := c.tags[w]
 	c.sys.Stats.DirtyEvictions++
 	c.sys.tel.dirtyEvicts.Inc(c.core)
-	if wb := c.wb[cl.tag]; wb != nil {
+	if wb := c.wb[line]; wb != nil {
 		// Re-eviction before the previous PutM was acknowledged:
 		// refresh the buffered data and track the extra ack.
-		wb.data, wb.superseded = cl.data, false
+		wb.data, wb.superseded = c.data[w], false
 		wb.pending++
 	} else {
-		c.wb[cl.tag] = &wbent{line: cl.tag, data: cl.data, pending: 1}
+		c.wb[line] = &wbent{data: c.data[w], pending: 1}
 	}
-	c.request(reqPutM, cl.tag, cl.data)
+	c.request(&reqMsg{kind: reqPutM, line: line, core: c.core, data: c.data[w]})
 	if c.sys.OnDirtyEvict != nil {
-		c.sys.OnDirtyEvict(c.core, cl.tag, c.sys.cycle)
+		c.sys.OnDirtyEvict(c.core, line, c.sys.cycle)
 	}
 }

@@ -1,7 +1,6 @@
 package coherence
 
 import (
-	"container/list"
 	"fmt"
 
 	"relaxreplay/internal/interconnect"
@@ -9,18 +8,19 @@ import (
 
 // dirEntry is the L2 agent's per-line state. The L2 is the single
 // ordering point for the line: at most one transaction is in flight
-// per line, and later requests queue FIFO.
+// per line (req, nil when the line is free), and later requests queue
+// FIFO.
 //
 // The entry doubles as the backing store for the line's data (the L2
 // plus memory behind it); residency in the configured L2 capacity is
-// tracked separately and affects latency only.
+// tracked by the entry's links in the agent's LRU list and affects
+// latency only.
 type dirEntry struct {
 	line    uint64
 	data    LineData
 	owner   int    // core holding M or E, -1 when none
 	sharers uint64 // bitmask of cores that may hold S copies
 
-	busy  bool
 	queue []*reqMsg
 
 	// clockHint remembers the last publisher's logical clock for this
@@ -32,27 +32,30 @@ type dirEntry struct {
 	dataReadyAt uint64
 	pendingAcks int
 	sharerSeen  bool
+
+	snoop snoopMsg // the transaction's ring snoop (snoopy mode)
+
+	// Residency LRU links, nil while not resident.
+	lruPrev, lruNext *dirEntry
 }
 
 type l2agent struct {
 	sys *System
 	dir map[uint64]*dirEntry
 
-	// Residency LRU for the latency model; a request to a non-resident
-	// line pays the memory latency.
-	lru      *list.List // line addrs, front = MRU
-	resident map[uint64]*list.Element
+	// Residency LRU for the latency model: a circular list through
+	// the resident entries, most recent after the sentinel lru. A
+	// request to a non-resident line pays the memory latency.
+	lru       dirEntry
+	residents int
 
 	busyLines int
 }
 
 func newL2(sys *System) *l2agent {
-	return &l2agent{
-		sys:      sys,
-		dir:      make(map[uint64]*dirEntry),
-		lru:      list.New(),
-		resident: make(map[uint64]*list.Element),
-	}
+	a := &l2agent{sys: sys, dir: make(map[uint64]*dirEntry)}
+	a.lru.lruPrev, a.lru.lruNext = &a.lru, &a.lru
+	return a
 }
 
 func (a *l2agent) node() int { return a.sys.cfg.Cores }
@@ -67,28 +70,34 @@ func (a *l2agent) entry(line uint64) *dirEntry {
 }
 
 // touchResident returns the extra latency for this access (memory
-// latency when the line is not L2-resident) and updates the LRU.
-func (a *l2agent) touchResident(line uint64) uint64 {
-	if el, ok := a.resident[line]; ok {
-		a.lru.MoveToFront(el)
-		return 0
+// latency when the line is not L2-resident) and makes e the most
+// recent line, evicting least recent ones past the capacity.
+func (a *l2agent) touchResident(e *dirEntry) uint64 {
+	extra := uint64(0)
+	if e.lruNext != nil {
+		e.lruPrev.lruNext, e.lruNext.lruPrev = e.lruNext, e.lruPrev
+	} else {
+		a.sys.Stats.L2Misses++
+		a.sys.tel.l2Misses.Inc(0)
+		a.residents++
+		extra = a.sys.cfg.MemLat
 	}
-	a.sys.Stats.L2Misses++
-	a.sys.tel.l2Misses.Inc(0)
-	a.resident[line] = a.lru.PushFront(line)
-	for a.lru.Len() > a.sys.cfg.L2Capacity {
-		back := a.lru.Back()
-		a.lru.Remove(back)
-		delete(a.resident, back.Value.(uint64))
+	root := &a.lru
+	e.lruPrev, e.lruNext = root, root.lruNext
+	root.lruNext.lruPrev, root.lruNext = e, e
+	for ; a.residents > a.sys.cfg.L2Capacity; a.residents-- {
+		v := root.lruPrev
+		v.lruPrev.lruNext, root.lruPrev = root, v.lruPrev
+		v.lruPrev, v.lruNext = nil, nil
 	}
-	return a.sys.cfg.MemLat
+	return extra
 }
 
 func (a *l2agent) receive(msg interconnect.Message) {
 	switch p := msg.Payload.(type) {
 	case *reqMsg:
 		e := a.entry(p.line)
-		if e.busy {
+		if e.req != nil {
 			e.queue = append(e.queue, p)
 			return
 		}
@@ -102,7 +111,6 @@ func (a *l2agent) receive(msg interconnect.Message) {
 
 // begin starts processing an ordered request for a free line.
 func (a *l2agent) begin(e *dirEntry, p *reqMsg) {
-	e.busy = true
 	e.req = p
 	a.busyLines++
 
@@ -122,24 +130,17 @@ func (a *l2agent) begin(e *dirEntry, p *reqMsg) {
 				e.clockHint = h
 			}
 		}
-		a.touchResident(p.line)
-		a.sys.at(a.sys.cfg.L2Lat, func() {
-			a.send(p.core, &putAckMsg{line: p.line})
-			a.finish(e)
-		})
+		a.touchResident(e)
+		a.sys.push(event{cycle: a.sys.cycle + a.sys.cfg.L2Lat, kind: evPutAck, dir: e})
 		return
 	}
 
-	e.dataReadyAt = a.sys.cycle + a.sys.cfg.L2Lat + a.touchResident(p.line)
+	e.dataReadyAt = a.sys.cycle + a.sys.cfg.L2Lat + a.touchResident(e)
 	e.sharerSeen = false
 
 	if a.sys.cfg.Protocol == Snoopy {
-		a.sys.ring.Send(interconnect.Message{
-			Src:     a.node(),
-			Dst:     a.node(),
-			Visit:   true,
-			Payload: &snoopMsg{kind: p.kind, line: p.line, requester: p.core},
-		})
+		e.snoop = snoopMsg{kind: p.kind, line: p.line, requester: p.core}
+		a.sys.ring.Send(interconnect.Message{Src: a.node(), Dst: a.node(), Visit: true, Payload: &e.snoop})
 		return
 	}
 	a.beginDirectory(e, p)
@@ -179,7 +180,7 @@ func (a *l2agent) beginDirectory(e *dirEntry, p *reqMsg) {
 
 func (a *l2agent) ackReceived(p *ackMsg) {
 	e := a.entry(p.line)
-	if !e.busy || e.pendingAcks == 0 {
+	if e.req == nil || e.pendingAcks == 0 {
 		panic(fmt.Sprintf("coherence: unexpected ack for line %#x", p.line))
 	}
 	if p.hasData {
@@ -200,7 +201,7 @@ func (a *l2agent) ackReceived(p *ackMsg) {
 // snoopReturned completes the broadcast phase of a snoopy transaction.
 func (a *l2agent) snoopReturned(p *snoopMsg) {
 	e := a.entry(p.line)
-	if !e.busy || e.req == nil || e.req.line != p.line {
+	if e.req == nil || e.req.line != p.line {
 		panic(fmt.Sprintf("coherence: stray snoop return for line %#x", p.line))
 	}
 	if p.hasOwner {
@@ -214,43 +215,50 @@ func (a *l2agent) snoopReturned(p *snoopMsg) {
 	a.scheduleGrant(e)
 }
 
-// scheduleGrant sends the data grant once the data is ready and
-// retires the transaction.
+// scheduleGrant sends the data grant once the data is ready, as an
+// evGrant event when that is a later cycle.
 func (a *l2agent) scheduleGrant(e *dirEntry) {
-	grant := func() {
-		p := e.req
-		st := stateS
-		switch {
-		case p.kind == reqGetM:
-			st = stateM
-			e.owner = p.core
-			e.sharers = 0
-		case !e.sharerSeen && e.owner < 0:
-			st = stateE
-			e.owner = p.core
-			e.sharers = 0
-		default:
-			if e.owner >= 0 && e.owner != p.core {
-				e.sharers |= 1 << uint(e.owner)
-			}
-			e.owner = -1
-			e.sharers |= 1 << uint(p.core)
-		}
-		a.sys.Stats.Transactions++
-		a.sys.tel.transactions.Inc(p.core)
-		a.send(p.core, &dataMsg{line: p.line, data: e.data, state: st, clockHint: e.clockHint})
-		a.finish(e)
-	}
 	if e.dataReadyAt <= a.sys.cycle {
-		grant()
+		a.grant(e)
 		return
 	}
-	a.sys.at(e.dataReadyAt-a.sys.cycle, grant)
+	a.sys.push(event{cycle: e.dataReadyAt, kind: evGrant, dir: e})
+}
+
+// grant sends the data grant for e's transaction and retires it.
+func (a *l2agent) grant(e *dirEntry) {
+	p := e.req
+	st := stateS
+	switch {
+	case p.kind == reqGetM:
+		st = stateM
+		e.owner = p.core
+		e.sharers = 0
+	case !e.sharerSeen && e.owner < 0:
+		st = stateE
+		e.owner = p.core
+		e.sharers = 0
+	default:
+		if e.owner >= 0 && e.owner != p.core {
+			e.sharers |= 1 << uint(e.owner)
+		}
+		e.owner = -1
+		e.sharers |= 1 << uint(p.core)
+	}
+	a.sys.Stats.Transactions++
+	a.sys.tel.transactions.Inc(p.core)
+	a.send(p.core, &dataMsg{line: p.line, data: e.data, state: st, clockHint: e.clockHint})
+	a.finish(e)
+}
+
+// putAck acknowledges e's PutM to the evicting core and retires it.
+func (a *l2agent) putAck(e *dirEntry) {
+	a.send(e.req.core, &putAckMsg{line: e.line})
+	a.finish(e)
 }
 
 // finish frees the line and starts the next queued request, if any.
 func (a *l2agent) finish(e *dirEntry) {
-	e.busy = false
 	e.req = nil
 	a.busyLines--
 	if len(e.queue) > 0 {

@@ -12,17 +12,6 @@ const (
 	reqPutM                // dirty writeback
 )
 
-func (k reqKind) String() string {
-	switch k {
-	case reqGetS:
-		return "GetS"
-	case reqGetM:
-		return "GetM"
-	default:
-		return "PutM"
-	}
-}
-
 // reqMsg travels core -> L2 agent and is the unit the L2 serializes.
 type reqMsg struct {
 	kind reqKind
@@ -54,10 +43,6 @@ const (
 	stateE
 	stateM
 )
-
-func (s lineState) String() string {
-	return [...]string{"I", "S", "E", "M"}[s]
-}
 
 // dataMsg travels L2 agent -> requester and completes a transaction.
 type dataMsg struct {

@@ -37,11 +37,15 @@ type Core struct {
 	robHead, robMask int32
 	robLen           int
 
-	lsq       []int32 // memory ops and fences, program order
-	lsqBuf    []int32 // lsq's backing array, twice its capacity
-	wb        []wbEntry
-	readyALU  []int32 // seq-ascending
-	executing []int32
+	lsq    []int32 // memory ops and fences, program order
+	lsqBuf []int32 // lsq's backing array, twice its capacity
+	// lsqSettled counts the LSQ head entries issueLoads would pass
+	// with no effect and no block; every settling condition is
+	// monotone, so the walk starts here (DESIGN.md §20).
+	lsqSettled int
+	wb         []wbEntry
+	readyALU   []int32 // seq-ascending
+	executing  []int32
 	// work counts state changes; see WorkCount.
 	work uint64
 
@@ -384,6 +388,7 @@ func (c *Core) squashAfter(after uint64) {
 	for len(c.lsq) > 0 && c.rob[c.lsq[len(c.lsq)-1]].seq > after {
 		c.lsq = c.lsq[:len(c.lsq)-1]
 	}
+	c.lsqSettled = min(c.lsqSettled, len(c.lsq))
 	for len(c.readyALU) > 0 && c.rob[c.readyALU[len(c.readyALU)-1]].seq > after {
 		c.readyALU = c.readyALU[:len(c.readyALU)-1]
 	}
@@ -475,6 +480,7 @@ func (c *Core) retire() {
 		c.robLen--
 		if len(c.lsq) > 0 && c.lsq[0] == p {
 			c.lsq = c.lsq[1:]
+			c.lsqSettled = max(c.lsqSettled-1, 0)
 		}
 
 		c.Stats.Retired++
@@ -523,6 +529,8 @@ func (c *Core) issueMem() {
 }
 
 // issueHeadOps launches RMW and IN at the ROB head.
+//
+//rrlint:hotpath
 func (c *Core) issueHeadOps(budget *int) {
 	if c.robLen == 0 || *budget == 0 {
 		return
@@ -537,12 +545,10 @@ func (c *Core) issueHeadOps(budget *int) {
 		}
 		u.addr = isa.EffAddr(u.ins, u.srcVal[0])
 		u.addrKnown = true
-		ins, rs2, rd := u.ins, u.srcVal[1], u.srcVal[2]
-		ok := c.mem.Submit(coherence.Request{
-			Core: c.id, ID: u.seq, Addr: u.addr, Kind: coherence.RMW,
-			Apply: func(old uint64) (uint64, bool) { return isa.AmoApply(ins, old, rs2, rd) },
-		})
-		if ok {
+		var r coherence.Request
+		r.Core, r.ID, r.Addr, r.Kind = c.id, u.seq, u.addr, coherence.RMW
+		r.Instr, r.Rs2, r.Rd = u.ins, u.srcVal[1], u.srcVal[2]
+		if c.mem.Submit(r) {
 			c.work++
 			u.state = uopIssued
 			c.tel.issuedMem.Inc(c.id)
@@ -564,57 +570,62 @@ func (c *Core) issueHeadOps(budget *int) {
 }
 
 // issueLoads walks the LSQ in program order issuing ready loads,
-// enforcing the RC ordering rules.
+// enforcing the RC ordering rules. It starts past the settled prefix
+// and extends it while the entry just walked stays settled: a fence
+// with nothing older pending, a performed atomic, a store with a known
+// address, or a load past waiting that no longer blocks younger ones.
+//
+//rrlint:hotpath
 func (c *Core) issueLoads(budget *int) {
 	storeAddrUnknown := false
-	for _, p := range c.lsq {
+	for i := c.lsqSettled; i < len(c.lsq); i++ {
 		if *budget == 0 {
 			return
 		}
-		u := &c.rob[p]
-		ins := u.ins
-		switch {
-		case ins.Op == isa.FENCE:
+		u := &c.rob[c.lsq[i]]
+		settled := true
+		switch op := u.ins.Op; {
+		case op == isa.FENCE:
 			if c.olderMemPending(u.seq) {
 				return // blocks all younger memory ops
 			}
-			continue
-		case ins.IsAtomic():
+		case u.ins.IsAtomic():
 			if !u.performed {
 				return // full-fence semantics
 			}
-			continue
-		case ins.Op == isa.ST:
+		case op == isa.ST:
 			// Opportunistic address generation so younger loads can
 			// disambiguate without waiting for the store data.
 			if !u.addrKnown && u.srcWait&1 == 0 {
 				c.work++
-				u.addr = isa.EffAddr(ins, u.srcVal[0])
+				u.addr = isa.EffAddr(u.ins, u.srcVal[0])
 				u.addrKnown = true
 			}
-			if !u.addrKnown {
-				storeAddrUnknown = true
+			storeAddrUnknown = storeAddrUnknown || !u.addrKnown
+			settled = u.addrKnown
+		default: // load
+			if u.state == uopWaiting && !u.performed {
+				c.tryIssueLoad(i, storeAddrUnknown, budget)
 			}
-			continue
+			if !u.performed && (u.ins.Flags&isa.FlagAcquire != 0 || c.cfg.Model != RC) {
+				// An acquire blocks all younger memory ops; TSO and SC
+				// bind loads in program order.
+				return
+			}
+			settled = u.state != uopWaiting
 		}
-		// Load.
-		acquire := ins.Flags&isa.FlagAcquire != 0
-		if u.state == uopWaiting && !u.performed {
-			c.tryIssueLoad(p, storeAddrUnknown, budget)
-		}
-		if acquire && !u.performed {
-			return // acquire blocks all younger memory ops
-		}
-		if c.cfg.Model != RC && !u.performed {
-			// TSO and SC bind loads in program order: nothing younger
-			// may issue past an unperformed load.
-			return
+		if settled && i == c.lsqSettled {
+			c.lsqSettled++
 		}
 	}
 }
 
-// tryIssueLoad attempts to bind or launch one waiting load.
-func (c *Core) tryIssueLoad(p int32, storeAddrUnknown bool, budget *int) {
+// tryIssueLoad attempts to bind or launch the waiting load at LSQ
+// index li.
+//
+//rrlint:hotpath
+func (c *Core) tryIssueLoad(li int, storeAddrUnknown bool, budget *int) {
+	p := c.lsq[li]
 	u := &c.rob[p]
 	if u.srcWait&1 != 0 {
 		return // address operand not ready
@@ -630,7 +641,7 @@ func (c *Core) tryIssueLoad(p int32, storeAddrUnknown bool, budget *int) {
 	if c.cfg.Model == SC && c.olderMemPending(u.seq) {
 		return // SC: in-order perform of every memory operation
 	}
-	val, found, blocked := c.forwardSource(u.seq, u.addr)
+	val, found, blocked := c.forwardSource(li, u.addr)
 	if blocked {
 		return
 	}
@@ -651,7 +662,9 @@ func (c *Core) tryIssueLoad(p int32, storeAddrUnknown bool, budget *int) {
 		*budget--
 		return
 	}
-	if !c.mem.Submit(coherence.Request{Core: c.id, ID: u.seq, Addr: u.addr, Kind: coherence.Load}) {
+	var r coherence.Request
+	r.Core, r.ID, r.Addr, r.Kind = c.id, u.seq, u.addr, coherence.Load
+	if !c.mem.Submit(r) {
 		*budget = 0 // MSHRs full; retry next cycle
 		return
 	}
@@ -661,18 +674,17 @@ func (c *Core) tryIssueLoad(p int32, storeAddrUnknown bool, budget *int) {
 	*budget--
 }
 
-// forwardSource finds the youngest older store to the load's address.
-// It returns (value, true, false) to forward, (0, false, true) if the
-// load must wait (matching store's data not ready, or an older
-// same-address load is still pending), and (0, false, false) to access
-// memory.
-func (c *Core) forwardSource(seq, addr uint64) (val uint64, found, blocked bool) {
+// forwardSource finds the youngest store older than the load at LSQ
+// index li to the load's address. It returns (value, true, false) to
+// forward, (0, false, true) if the load must wait (matching store's
+// data not ready, or an older same-address load is still pending),
+// and (0, false, false) to access memory.
+//
+//rrlint:hotpath
+func (c *Core) forwardSource(li int, addr uint64) (val uint64, found, blocked bool) {
 	// Unretired stores and older loads, youngest first.
-	for i := len(c.lsq) - 1; i >= 0; i-- {
+	for i := li - 1; i >= 0; i-- {
 		u := &c.rob[c.lsq[i]]
-		if u.seq >= seq {
-			continue
-		}
 		switch u.ins.Op {
 		case isa.ST:
 			if !u.addrKnown || u.addr != addr {
@@ -688,9 +700,9 @@ func (c *Core) forwardSource(seq, addr uint64) (val uint64, found, blocked bool)
 			}
 		}
 	}
-	// Write buffer, youngest first.
+	// Write buffer, youngest first: every entry is older than the load.
 	for i := len(c.wb) - 1; i >= 0; i-- {
-		if e := &c.wb[i]; e.seq < seq && e.addr == addr {
+		if e := &c.wb[i]; e.addr == addr {
 			return e.val, true, false
 		}
 	}

@@ -58,7 +58,7 @@ func (m *magicMem) tick(c *Core) {
 			value = r.StoreVal
 		case coherence.RMW:
 			old := m.words[r.Addr]
-			if nv, w := r.Apply(old); w {
+			if nv, w := isa.AmoApply(r.Instr, old, r.Rs2, r.Rd); w {
 				m.words[r.Addr] = nv
 			}
 			value = old

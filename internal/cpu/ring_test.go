@@ -71,7 +71,7 @@ func (m *flatMem) tick(c *Core) {
 		case coherence.Store:
 			*w, value = r.StoreVal, r.StoreVal
 		case coherence.RMW:
-			if nv, ok := r.Apply(value); ok {
+			if nv, ok := isa.AmoApply(r.Instr, value, r.Rs2, r.Rd); ok {
 				*w = nv
 			}
 		}
