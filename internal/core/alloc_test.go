@@ -8,12 +8,14 @@ import (
 )
 
 // recordAllocBound caps the heap allocations of one 32-core fft record
-// at scale 1, set-up included. It measures about 74.3k, nearly all in
-// the coherence layer: the cpu pipeline and the recorder allocate
-// nothing per instruction. The bound leaves room for incidental set-up
-// changes, not for a per-instruction allocation (the record retires
-// ≈478k instructions) to creep back in.
-const recordAllocBound = 80_000
+// at scale 1, set-up included. It measures 12,642: set-up, directory
+// entries, grant messages and PutM writebacks. The cpu pipeline and the
+// recorder allocate nothing per instruction, and the L1 arrays, MSHR
+// slots, grant events and L2 LRU nothing per transaction. The bound
+// leaves about 10% for incidental set-up changes, not for a
+// per-instruction allocation (the record retires ≈478k instructions)
+// or a second per-transaction one (≈8.8k transactions) to creep back.
+const recordAllocBound = 14_000
 
 func TestRecordAllocationBound(t *testing.T) {
 	fft := workload.FFT(32, 1)

@@ -73,9 +73,11 @@ var wireMagic = [4]byte{'R', 'R', 'N', 'T'}
 // ProtoVersion is the wire protocol version in the preamble and hello.
 const ProtoVersion = 1
 
-// wireSync mirrors the replaylog v2/v3 frame sync word: the wire
-// reuses the exact on-disk framing so one CRC/resync implementation
-// (and one set of fuzz-hardened habits) covers both.
+// wireSync mirrors the replaylog v2/v3 frame sync word: the wire uses
+// the same sync/type/length/CRC32C frame layout as the on-disk logs.
+// The code is not shared: frameReader here and the journal's scanFrames
+// are copies of replaylog's CRC and resync logic, which ROADMAP.md's
+// "One frame layer, one log writer" item folds into one package.
 var wireSync = [4]byte{0xF5, 'R', 'F', '2'}
 
 // castagnoli is the CRC32C table (hardware-accelerated on amd64/arm64).
