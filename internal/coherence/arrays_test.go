@@ -137,3 +137,58 @@ func TestL1ArraysAndMSHRSlotsUnderRandomTraffic(t *testing.T) {
 		}
 	}
 }
+
+// TestNewRejectsNonPowerOfTwoSets: set selection masks the line number,
+// so a set count that is not a power of two would alias sets.
+func TestNewRejectsNonPowerOfTwoSets(t *testing.T) {
+	for _, sets := range []int{0, 3, 6, 500} {
+		cfg := testConfig(2, Snoopy)
+		cfg.L1Sets = sets
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted L1Sets = %d", sets)
+				}
+			}()
+			New(cfg)
+		}()
+	}
+}
+
+// TestL2ResidencyLRUOrder drives the intrusive residency list with
+// random touches at a small capacity and compares the hit/miss answer
+// and the full most-recent-first order with a plain slice model.
+func TestL2ResidencyLRUOrder(t *testing.T) {
+	for _, capacity := range []int{0, 1, 3, 8} {
+		cfg := testConfig(1, Snoopy)
+		cfg.L2Capacity = capacity
+		a := New(cfg).l2
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		var model []uint64 // most recent first
+		for step := 0; step < 2000; step++ {
+			line := uint64(rng.Intn(12))
+			hit := false
+			for i, l := range model {
+				if l == line {
+					model = append(model[:i], model[i+1:]...)
+					hit = true
+					break
+				}
+			}
+			model = append([]uint64{line}, model...)
+			if len(model) > capacity {
+				model = model[:capacity]
+			}
+			if extra := a.touchResident(a.entry(line)); (extra == 0) != hit {
+				t.Fatalf("capacity %d step %d: line %d extra latency %d, model hit %v", capacity, step, line, extra, hit)
+			}
+			var got []uint64
+			for e := a.lru.lruNext; e != &a.lru; e = e.lruNext {
+				got = append(got, e.line)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(model) || a.residents != len(model) {
+				t.Fatalf("capacity %d step %d: list %v (%d residents), model %v", capacity, step, got, a.residents, model)
+			}
+		}
+	}
+}
