@@ -41,7 +41,7 @@ type Core struct {
 	lsqBuf []int32 // lsq's backing array, twice its capacity
 	// lsqSettled counts the LSQ head entries issueLoads would pass
 	// with no effect and no block; every settling condition is
-	// monotone, so the walk starts here (DESIGN.md §20).
+	// monotone, so the walk starts here (DESIGN.md §20.1).
 	lsqSettled int
 	wb         []wbEntry
 	readyALU   []int32 // seq-ascending
