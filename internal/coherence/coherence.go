@@ -237,19 +237,6 @@ type System struct {
 	performsSpare    []PerformEvent
 	completionsSpare []Completion
 
-	// Core-phase staging (BeginCorePhase/EndCorePhase). While staged,
-	// the submit path — which the sharded machine runs concurrently,
-	// one goroutine per shard of cores — routes every touch of
-	// machine-global state (the event heap, the ring, the aggregate
-	// Stats) into per-core buffers that only the submitting core's
-	// shard writes. The coordinator replays them at the epoch barrier
-	// in core order, reproducing the serial loop's event sequence
-	// numbers and ring injection order exactly.
-	staged     bool
-	stageStats []Stats
-	stageCompl [][]event // completions still lacking their seq
-	stageSends [][]interconnect.Message
-
 	// OnPerform, when set, receives every perform event synchronously,
 	// at the exact point within the cycle where the value binds. This
 	// preserves the true intra-cycle order between performs and
@@ -520,70 +507,6 @@ func (s *System) DrainCompletions() []Completion {
 	return out
 }
 
-// BeginCorePhase enters staged mode for one cycle's core phase: until
-// EndCorePhase, the submit path (the only System entry point invoked
-// outside Tick) appends its cross-core effects — scheduled
-// completions, ring injections, Stats increments — to per-core
-// buffers instead of touching the shared structures. Each buffer is
-// written only by the shard that owns its core, so the core phase is
-// data-race-free without locks. Memory-phase entry points (Tick,
-// receive, grant) must not run while staged.
-func (s *System) BeginCorePhase() {
-	if s.stageStats == nil {
-		s.stageStats = make([]Stats, s.cfg.Cores)
-		s.stageCompl = make([][]event, s.cfg.Cores)
-		s.stageSends = make([][]interconnect.Message, s.cfg.Cores)
-	}
-	s.staged = true
-}
-
-// EndCorePhase leaves staged mode and replays the staged effects in
-// core order 0..Cores-1, preserving each core's submission order.
-// That is exactly the order the serial loop produces (core i ticks
-// before core i+1), so event sequence numbers — and therefore every
-// downstream perform, completion and snoop ordering — are identical
-// to the unsharded run.
-func (s *System) EndCorePhase() {
-	s.staged = false
-	for core := 0; core < s.cfg.Cores; core++ {
-		s.Stats.AddScaled(s.stageStats[core], 1)
-		s.stageStats[core] = Stats{}
-		for _, e := range s.stageCompl[core] {
-			s.push(e)
-		}
-		s.stageCompl[core] = s.stageCompl[core][:0]
-		for _, msg := range s.stageSends[core] {
-			s.ring.Send(msg)
-		}
-		s.stageSends[core] = s.stageSends[core][:0]
-	}
-}
-
-// statsFor returns the Stats sink for a submit-path increment on
-// behalf of core: the shared aggregate when serial, the core's
-// staging slot during a sharded core phase.
-//
-//rrlint:handoff
-func (s *System) statsFor(core int) *Stats {
-	if s.staged {
-		return &s.stageStats[core]
-	}
-	return &s.Stats
-}
-
-// send injects a ring message on behalf of core, staging it during a
-// sharded core phase (the ring's injection queues and max-depth
-// counter are machine-global).
-//
-//rrlint:handoff
-func (s *System) send(core int, msg interconnect.Message) {
-	if s.staged {
-		s.stageSends[core] = append(s.stageSends[core], msg)
-		return
-	}
-	s.ring.Send(msg)
-}
-
 func (s *System) dispatch(d interconnect.Delivery) {
 	if d.Node == s.cfg.Cores {
 		if d.Final {
@@ -595,10 +518,7 @@ func (s *System) dispatch(d interconnect.Delivery) {
 }
 
 // push gives e the next sequence number and sifts it into the event
-// heap. Memory-phase only: the heap and the sequence counter are
-// coordinator-owned.
-//
-//rrlint:coordinator
+// heap.
 func (s *System) push(e event) {
 	s.eventSeq++
 	e.seq = s.eventSeq
@@ -619,20 +539,13 @@ func (s *System) perform(ev PerformEvent) {
 }
 
 // complete schedules a pipeline completion notification, an event
-// whose payload rides in the event itself. During a sharded core phase
-// the completion is staged per core and gets its sequence number at
-// the epoch barrier, in the same cycle.
+// whose payload rides in the event itself.
 //
 //rrlint:hotpath
-//rrlint:handoff
 func (s *System) complete(core int, id uint64, value uint64, delay uint64) {
 	var e event
 	e.cycle, e.kind = s.cycle+delay, evComplete
 	e.core, e.id, e.value = core, id, value
-	if s.staged {
-		s.stageCompl[core] = append(s.stageCompl[core], e)
-		return
-	}
 	s.push(e)
 }
 

@@ -111,13 +111,6 @@ func (c *l1cache) touch(w int) {
 
 // submit accepts one memory operation; false means "retry next cycle".
 //
-// submit is the one System entry point the core phase invokes, so
-// under the sharded machine it runs concurrently with other cores'
-// submits. Everything it touches is either owned by this core (the
-// cache arrays, MSHRs, the recorder behind the perform callback) or
-// funneled through the staging handoffs (statsFor, complete, send).
-//
-//rrlint:shardphase
 //rrlint:hotpath
 func (c *l1cache) submit(r Request) bool {
 	line := LineOf(r.Addr)
@@ -136,19 +129,19 @@ func (c *l1cache) submit(r Request) bool {
 	switch {
 	case r.Kind == Load && w >= 0:
 		c.bindLoad(r, w)
-		c.sys.statsFor(c.core).L1Hits++
+		c.sys.Stats.L1Hits++
 		c.sys.tel.l1Hits.Inc(c.core)
 		return true
 	case r.Kind != Load && w >= 0 && (c.states[w] == stateM || c.states[w] == stateE):
 		c.bindWrite(r, w)
-		c.sys.statsFor(c.core).L1Hits++
+		c.sys.Stats.L1Hits++
 		c.sys.tel.l1Hits.Inc(c.core)
 		return true
 	}
 
 	// Miss (or store hit on a shared line: upgrade).
 	if c.mshrUsed >= len(c.mshrs) {
-		c.sys.statsFor(c.core).MSHRRejects++
+		c.sys.Stats.MSHRRejects++
 		c.sys.tel.mshrRejects.Inc(c.core)
 		return false
 	}
@@ -157,10 +150,10 @@ func (c *l1cache) submit(r Request) bool {
 		kind = reqGetM
 	}
 	if w >= 0 && kind == reqGetM {
-		c.sys.statsFor(c.core).Upgrades++
+		c.sys.Stats.Upgrades++
 		c.sys.tel.upgrades.Inc(c.core)
 	} else {
-		c.sys.statsFor(c.core).L1Misses++
+		c.sys.Stats.L1Misses++
 		c.sys.tel.l1Misses.Inc(c.core)
 	}
 	m := &c.mshrs[0]
@@ -177,7 +170,7 @@ func (c *l1cache) submit(r Request) bool {
 
 // request sends a request message to the L2 agent.
 func (c *l1cache) request(msg *reqMsg) {
-	c.sys.send(c.core, interconnect.Message{Src: c.core, Dst: c.sys.cfg.Cores, Payload: msg})
+	c.sys.ring.Send(interconnect.Message{Src: c.core, Dst: c.sys.cfg.Cores, Payload: msg})
 }
 
 // bindLoad reads the word from way w, fires the perform event now,

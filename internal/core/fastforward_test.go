@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
 	"relaxreplay/internal/coherence"
+	"relaxreplay/internal/isa"
 	"relaxreplay/internal/machine"
 	"relaxreplay/internal/replaylog"
 	"relaxreplay/internal/workload"
@@ -135,6 +137,57 @@ func TestFastForwardDeadlockEquivalence(t *testing.T) {
 		if st.M.Cores[i].Stats != sf.M.Cores[i].Stats {
 			t.Errorf("core %d stats differ at stall:\nticked: %+v\nffed:   %+v",
 				i, st.M.Cores[i].Stats, sf.M.Cores[i].Stats)
+		}
+	}
+}
+
+// TestProbeTickErrorSessionLoop is the session-level half of the
+// probe-tick regression (see machine.TestProbeTickErrorNotSwallowed):
+// a core error landing on the fast-forward probe tick must surface
+// from Session.Run at its true cycle and must not be masked as a
+// *StallError when it coincides with the MaxCycles boundary.
+func TestProbeTickErrorSessionLoop(t *testing.T) {
+	b := isa.NewBuilder("probe-err")
+	b.Li(isa.R(3), 7)
+	b.Mul(isa.R(3), isa.R(3), isa.R(3))
+	b.In(isa.R(4))
+	b.Halt()
+	prog := b.MustBuild()
+	w := Workload{Name: "probe-err", Progs: []isa.Program{prog}}
+
+	record := func(lat, maxCycles uint64, noFF bool) (uint64, error) {
+		mcfg := machineConfig(1, coherence.Snoopy)
+		mcfg.CPU.MulLat = lat
+		mcfg.NoFastForward = noFF
+		if maxCycles != 0 {
+			mcfg.MaxCycles = maxCycles
+		}
+		s, err := NewSession(mcfg, DefaultConfig(Opt), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.Run()
+		return s.M.Cycle(), err
+	}
+
+	for lat := uint64(1); lat <= 30; lat++ {
+		tickedCycle, errTicked := record(lat, 0, true)
+		if !errors.Is(errTicked, isa.ErrOutOfInput) {
+			t.Fatalf("lat=%d: ticked: got %v, want ErrOutOfInput", lat, errTicked)
+		}
+		ffCycle, errFF := record(lat, 0, false)
+		if !errors.Is(errFF, isa.ErrOutOfInput) {
+			t.Errorf("lat=%d: fast-forwarded: got %v, want ErrOutOfInput", lat, errFF)
+		}
+		if ffCycle != tickedCycle {
+			t.Errorf("lat=%d: error at cycle %d fast-forwarded, %d ticked", lat, ffCycle, tickedCycle)
+		}
+		_, errPinned := record(lat, tickedCycle, false)
+		var stall *machine.StallError
+		if errors.As(errPinned, &stall) {
+			t.Errorf("lat=%d: core error at the MaxCycles boundary masked as %v", lat, errPinned)
+		} else if !errors.Is(errPinned, isa.ErrOutOfInput) {
+			t.Errorf("lat=%d: pinned: got %v, want ErrOutOfInput", lat, errPinned)
 		}
 	}
 }

@@ -511,7 +511,6 @@ func (r *Recorder) push(seq uint64, kind entryKind, nmiSeqs []uint64) {
 // perform time).
 //
 //rrlint:hotpath
-//rrlint:shardphase
 func (r *Recorder) Perform(seq uint64, addr uint64, isRead, isWrite bool, value, storedVal uint64, didWrite bool) {
 	// The TRAQ is seq-ordered: binary search for the first entry at or
 	// after seq, which is this access's unless it was squashed.
@@ -771,7 +770,6 @@ func (r *Recorder) logEntry(e replaylog.Entry) {
 // order. It also samples TRAQ occupancy for Figure 12.
 //
 //rrlint:hotpath
-//rrlint:shardphase
 func (r *Recorder) Tick(cycle uint64) {
 	r.Stats.TRAQOccupancySum += uint64(r.traqLen)
 	r.Stats.TRAQSamples++

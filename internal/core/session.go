@@ -118,8 +118,7 @@ func NewSession(mcfg machine.Config, rcfg Config, w Workload) (*Session, error) 
 		}
 	}
 	m := machine.New(mcfg, w.Progs, hookFor)
-	// The recorder tick rides the machine's core phase, so a sharded
-	// run keeps each recorder on the shard that owns its core.
+	// Each recorder ticks right after its own core, within the cycle.
 	m.ExtraTick = func(core int, cycle uint64) { recs[core].Tick(cycle) }
 	m.InitMemory(w.InitMem)
 	for i, in := range w.Inputs {
@@ -163,9 +162,7 @@ func NewSession(mcfg machine.Config, rcfg Config, w Workload) (*Session, error) 
 // delta replay. Like machine.Run, idle stretches are skipped when
 // fast-forward is enabled (see machine.Config.NoFastForward) and the
 // result — recorded logs and all statistics — is bit-identical to
-// the fully ticked run. Config.Shards likewise changes nothing
-// observable: the recorders tick on the shard owning their core, and
-// the logs stay byte-identical to the serial loop.
+// the fully ticked run.
 func (s *Session) Run() (*Result, error) {
 	m := s.M
 	recSnap := make([]Stats, len(s.Recorders))

@@ -162,8 +162,6 @@ func (c *Core) find(seq uint64) int32 {
 // bound its value this cycle. It may be called synchronously from
 // inside a Submit, so it must not mutate the pipeline queues; a
 // performed write-buffer store is swept out by drainWB.
-//
-//rrlint:shardphase
 func (c *Core) HandlePerform(ev coherence.PerformEvent) {
 	if p := c.find(ev.ID); p != noPos {
 		c.markPerformed(p)
@@ -186,8 +184,6 @@ func (c *Core) HandlePerform(ev coherence.PerformEvent) {
 // HandleCompletion delivers the pipeline notification for a load, RMW
 // or store submitted to the memory system. Squashed seqs and stores
 // (already retired to the write buffer) miss the ROB.
-//
-//rrlint:shardphase
 func (c *Core) HandleCompletion(ev coherence.Completion) {
 	if p := c.find(ev.ID); p != noPos && c.rob[p].state != uopDone {
 		c.finish(p, ev.Value)
@@ -282,11 +278,7 @@ func (c *Core) pushReady(p int32) {
 }
 
 // Tick advances the core one cycle. The machine must deliver this
-// cycle's perform and completion events before calling Tick. Under the
-// sharded run loop Tick runs on a shard worker, so everything it
-// reaches must be core-local or a coherence staging handoff.
-//
-//rrlint:shardphase
+// cycle's perform and completion events before calling Tick.
 func (c *Core) Tick(cycle uint64) {
 	c.cycle = cycle
 	if c.err != nil || c.Quiesced() {

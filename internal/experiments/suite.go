@@ -64,12 +64,6 @@ type Options struct {
 	// byte-identical either way; the determinism regression tests flip
 	// this switch to prove it.
 	NoFastForward bool
-
-	// Shards spreads each recording's per-cycle core phase over this
-	// many goroutines (see machine.Config.Shards). Results are
-	// byte-identical either way; the shard-determinism regression
-	// tests flip this switch to prove it.
-	Shards int
 }
 
 // DefaultOptions mirrors the paper's default setup: 8 cores, snoopy
@@ -293,7 +287,6 @@ func (s *Suite) execute(spec Spec) (*Run, error) {
 	mcfg.Mem.Protocol = s.opts.Protocol
 	mcfg.Telemetry = s.opts.Telemetry
 	mcfg.NoFastForward = s.opts.NoFastForward
-	mcfg.Shards = s.opts.Shards
 	rcfg.Telemetry = s.opts.Telemetry
 	res, err := core.Record(mcfg, rcfg, core.Workload{
 		Name: w.Name, Progs: w.Progs, Inputs: w.Inputs, InitMem: w.InitMem,

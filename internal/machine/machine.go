@@ -52,16 +52,6 @@ type Config struct {
 	// determinism regression tests prove by flipping this switch — so
 	// the flag exists for those tests and for debugging.
 	NoFastForward bool
-
-	// Shards spreads the per-cycle core phase (pipeline tick + L1
-	// submits + recorder tick) over this many goroutines, each owning a
-	// contiguous range of cores, with an epoch barrier at every cycle
-	// boundary. Sharding never changes observable behaviour: cycle
-	// counts, statistics and recorded logs are byte-identical to the
-	// serial loop (see DESIGN.md §19). 0 or 1 means serial; values
-	// above Cores are clamped. Telemetry tracing forces serial, since
-	// the tracer's event stream is not shard-safe.
-	Shards int
 }
 
 // DefaultConfig returns the paper's Table 1 machine with the given
@@ -88,14 +78,11 @@ type Machine struct {
 	PerformSink func(ev coherence.PerformEvent)
 
 	// ExtraTick, when set, runs for every core right after that core's
-	// pipeline tick, inside the core phase (so on the owning shard when
-	// sharded). The recording session hangs the per-core recorder tick
-	// here; it must touch only state owned by that core.
+	// pipeline tick. The recording session hangs the per-core recorder
+	// tick here.
 	ExtraTick func(core int, cycle uint64)
 
 	ffSkipped uint64 // cycles skipped by fast-forward (see SkipTo)
-
-	pool *shardPool // non-nil only inside a sharded RunWith
 
 	samp sampler
 }
@@ -183,14 +170,9 @@ func (m *Machine) InitMemory(words map[uint64]uint64) {
 // SetInputs provides core's external input stream (consumed by IN).
 func (m *Machine) SetInputs(core int, in []uint64) { m.Cores[core].SetInputs(in) }
 
-// Step advances the machine one cycle. Inside a sharded RunWith the
-// core phase fans out to the shard workers; otherwise the cores tick
-// in order on the calling goroutine.
+// Step advances the machine one cycle: the memory system ticks, due
+// completions are delivered, then the cores tick in id order.
 func (m *Machine) Step() {
-	if m.pool != nil {
-		m.stepSharded()
-		return
-	}
 	m.cycle++
 	m.Sys.Tick()
 	for _, ev := range m.Sys.DrainCompletions() {
@@ -231,17 +213,9 @@ func (m *Machine) SampleTelemetry() {
 // WorkCount sums the state-mutation counters of every core and the
 // memory system. A tick across which it does not move touched no
 // architectural state: only the clock and per-cycle statistics (stall
-// tallies, occupancy sums) advanced. When sharded, the per-core sums
-// come from the per-shard aggregates the workers computed at the last
-// epoch barrier, so the coordinator's check stays O(shards).
+// tallies, occupancy sums) advanced.
 func (m *Machine) WorkCount() uint64 {
 	w := m.Sys.WorkCount()
-	if p := m.pool; p != nil {
-		for _, sw := range p.work {
-			w += sw
-		}
-		return w
-	}
 	for _, c := range m.Cores {
 		w += c.WorkCount()
 	}
@@ -262,17 +236,9 @@ func (m *Machine) FastForwardEnabled() bool {
 // event. ok is false when nothing is pending anywhere — the machine is
 // deadlocked and only MaxCycles will end the run.
 func (m *Machine) NextWakeCycle() (wake uint64, ok bool) {
-	if p := m.pool; p != nil {
-		for w := range p.wake {
-			if p.wakeOK[w] && (!ok || p.wake[w] < wake) {
-				wake, ok = p.wake[w], true
-			}
-		}
-	} else {
-		for _, c := range m.Cores {
-			if t, o := c.NextWake(); o && (!ok || t < wake) {
-				wake, ok = t, true
-			}
+	for _, c := range m.Cores {
+		if t, o := c.NextWake(); o && (!ok || t < wake) {
+			wake, ok = t, true
 		}
 	}
 	if t, o := m.Sys.NextEventCycle(); o && (!ok || t < wake) {

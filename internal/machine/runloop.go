@@ -10,9 +10,7 @@ import "fmt"
 // lacked, and both lost core errors raised on the fast-forward probe
 // tick); RunWith is the single implementation both now share.
 //
-// Every hook may be nil. The hooks run on the coordinator goroutine,
-// between epochs, so they may freely read core and recorder state
-// even when the run is sharded.
+// Every hook may be nil.
 type Driver struct {
 	// ExtraBusy keeps the loop running after the machine quiesces
 	// while out-of-machine state (recorder TRAQs) still drains.
@@ -49,14 +47,8 @@ type Driver struct {
 }
 
 // RunWith steps the machine to completion under the driver's hooks.
-// See Run for the fast-forward contract. When Config.Shards > 1 the
-// core phase of every cycle fans out across the shard workers; the
-// loop below runs on the coordinator and observes identical state
-// either way.
+// See Run for the fast-forward contract.
 func (m *Machine) RunWith(d Driver) error {
-	m.startShards()
-	defer m.stopShards()
-
 	work := func() uint64 {
 		w := m.WorkCount()
 		if d.ExtraWork != nil {

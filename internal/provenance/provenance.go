@@ -188,14 +188,14 @@ type CoreRecorder struct {
 	// currently open; NoteTerminate copies it out and resets it.
 	cur []Reorder
 
-	// Pending conflict details, staged by NoteConflict just before the
+	// Pending conflict details, set by NoteConflict just before the
 	// recorder terminates the interval, consumed by NoteTerminate.
 	pendLine   uint64
 	pendWrite  bool
 	pendRemote int32
 }
 
-// NoteConflict stages the conflicting line, access kind and requesting
+// NoteConflict holds the conflicting line, access kind and requesting
 // core for the termination that is about to follow. remote is -1 when
 // the requester is unknown.
 //
@@ -228,7 +228,7 @@ func (c *CoreRecorder) NoteReorder(kind uint8, offset uint16, cycle uint64) {
 }
 
 // NoteTerminate closes the open interval: it appends a Record carrying
-// the cause, occupancy and any staged conflict details, attaches the
+// the cause, occupancy and any pending conflict details, attaches the
 // accumulated reorder instants, and resets the per-interval state.
 //
 //rrlint:hotpath

@@ -155,12 +155,6 @@ type Config struct {
 	// MaxCycles aborts runaway (deadlocked) workloads.
 	MaxCycles uint64
 
-	// Shards spreads each cycle's core phase over this many goroutines
-	// (see machine.Config.Shards). Purely a throughput knob: recorded
-	// logs and all statistics are byte-identical to the serial loop.
-	// 0 or 1 means serial.
-	Shards int
-
 	// Hardware geometry (paper Table 1 defaults; exposed for the
 	// ablation studies).
 	TRAQSize          int
@@ -224,7 +218,6 @@ func (c Config) machineConfig() machine.Config {
 	}
 	m.Telemetry = c.Telemetry
 	m.Faults = c.Faults
-	m.Shards = c.Shards
 	return m
 }
 
