@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -333,12 +334,25 @@ func TestInstrString(t *testing.T) {
 }
 
 func TestFlatMemorySnapshot(t *testing.T) {
-	m := NewFlatMemory()
+	var m FlatMemory // the zero value is an empty memory
+	if got := m.Load(0x40); got != 0 {
+		t.Fatalf("Load on the zero value = %d", got)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { m.Load(1 << 50) }); allocs != 0 {
+		t.Fatalf("Load from an unwritten page allocates %.0f objects", allocs)
+	}
 	m.Store(0x10, 5)
-	m.Store(0x18, 0) // zero values dropped from snapshot
-	m.Store(0x13, 7) // unaligned rounds down to 0x10
-	snap := m.Snapshot()
-	if len(snap) != 1 || snap[0x10] != 7 {
-		t.Errorf("snapshot = %v", snap)
+	m.Store(0x18, 0)        // zero values dropped from snapshot
+	m.Store(0x13, 7)        // unaligned rounds down to 0x10
+	m.Store(0x1ff, 4)       // the last word of the first page
+	m.Store(1<<50+0x1f8, 3) // a far page
+	want := map[uint64]uint64{0x10: 7, 0x1f8: 4, 1<<50 + 0x1f8: 3}
+	if snap := m.Snapshot(); !reflect.DeepEqual(snap, want) {
+		t.Errorf("snapshot = %v, want %v", snap, want)
+	}
+	for a, v := range want {
+		if got := m.Load(a); got != v {
+			t.Errorf("Load(%#x) = %d, want %d", a, got, v)
+		}
 	}
 }

@@ -44,6 +44,26 @@ func (e *ErrDiverged) EndOfLog() bool { return e.Interval < 0 }
 
 func (e *ErrDiverged) Unwrap() error { return e.Cause }
 
+// ErrStreamCore reports a log whose interval streams do not map one
+// to one onto its cores: a stream names a core outside [0, Cores), or
+// a core an earlier stream already claimed. A damaged log can decode
+// that way; New rejects it rather than run one core's program against
+// another core's intervals. A core with no stream at all is not an
+// error here: it ends the run short of HALT.
+type ErrStreamCore struct {
+	Stream    int // position in Log.Streams
+	Core      int // the core the stream names
+	Cores     int // the log's core count
+	Duplicate bool
+}
+
+func (e *ErrStreamCore) Error() string {
+	if e.Duplicate {
+		return fmt.Sprintf("replay: stream %d repeats core %d", e.Stream, e.Core)
+	}
+	return fmt.Sprintf("replay: stream %d names core %d of a %d-core log", e.Stream, e.Core, e.Cores)
+}
+
 // Degradation records one core's divergence in a partial replay: the
 // core was abandoned at this interval and the run carried on without
 // it.

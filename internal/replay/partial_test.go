@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -158,5 +159,142 @@ func TestStrictIncompleteIsTyped(t *testing.T) {
 	var div *ErrDiverged
 	if !errors.As(err, &div) || div.Interval != -1 || div.Core != 0 {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// lostCoreZero encodes l as v3 and flips one payload byte in each of
+// core 0's frames (its stream frame and its one group frame), so a
+// robust decode loses core 0 entirely and returns Streams=[core 1]
+// with Cores still 2.
+func lostCoreZero(t testing.TB, l *replaylog.Log) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := replaylog.EncodeV3(&buf, l); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	// A frame is sync(4) type(1) length(4) payload crc(4). Core 0's
+	// stream payload starts with core as a u32, its group payload with
+	// a flags byte and then core as a varint.
+	sync := []byte{0xF5, 'R', 'F', '2'}
+	flipped := 0
+	for i := 0; i+11 < len(data); i++ {
+		if !bytes.Equal(data[i:i+4], sync) {
+			continue
+		}
+		switch replaylog.FrameType(data[i+4]) {
+		case replaylog.FrameStream:
+			if data[i+9] == 0 && data[i+10] == 0 && data[i+11] == 0 && data[i+12] == 0 {
+				data[i+13] ^= 0xFF
+				flipped++
+			}
+		case replaylog.FrameIvGroup:
+			if data[i+10] == 0 {
+				data[i+11] ^= 0xFF
+				flipped++
+			}
+		}
+	}
+	if flipped != 2 {
+		t.Fatalf("flipped %d frames of core 0, want its stream and group frames", flipped)
+	}
+	return data
+}
+
+// A damaged log can decode with its streams in a different order than
+// its cores, or with a core missing: replay must index streams by
+// position, not by core id, and end a streamless core short of HALT.
+func TestReplayLostCoreStream(t *testing.T) {
+	data := lostCoreZero(t, twoCoreLog())
+	l, rep, err := replaylog.DecodeRobust(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Clean() || l.Cores != 2 || len(l.Streams) != 1 || l.Streams[0].Core != 1 {
+		t.Fatalf("decode: cores %d, streams %v, report %v", l.Cores, l.Streams, rep)
+	}
+	cfg := DefaultConfig()
+	cfg.AllowPartial = true
+	r, err := New(cfg, l, []isa.Program{prog(), prog()}, map[uint64]uint64{0x100: 42}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Core 1's stream lies about its block (it overruns HALT); core 0
+	// has no stream and never reaches HALT.
+	if len(res.Degradations) != 2 ||
+		res.Degradations[0].Core != 1 || res.Degradations[0].Interval != 0 ||
+		res.Degradations[1].Core != 0 || !res.Degradations[1].EndOfLog() {
+		t.Fatalf("Degradations = %v", res.Degradations)
+	}
+
+	// With core 1 honest, the missing core is the only failure: a
+	// degradation under AllowPartial, a typed end-of-log divergence
+	// otherwise.
+	honest := twoCoreLog()
+	honest.Streams[1].Intervals[0].Entries[0].Size = 6
+	l, _, err = replaylog.DecodeRobust(bytes.NewReader(lostCoreZero(t, honest)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ = New(cfg, l, []isa.Program{prog(), prog()}, map[uint64]uint64{0x100: 42}, nil)
+	res, err = r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Degradations) != 1 || res.Degradations[0].Core != 0 || !res.Degradations[0].EndOfLog() {
+		t.Fatalf("Degradations = %v", res.Degradations)
+	}
+	if res.FinalRegs[1][5] != 47 || res.Instret[1] != 6 || res.Instret[0] != 0 {
+		t.Fatalf("core 1 regs %v, instret %v", res.FinalRegs[1][:6], res.Instret)
+	}
+	r, _ = New(DefaultConfig(), l, []isa.Program{prog(), prog()}, map[uint64]uint64{0x100: 42}, nil)
+	_, err = r.Run()
+	var div *ErrDiverged
+	if !errors.As(err, &div) || div.Core != 0 || !div.EndOfLog() {
+		t.Fatalf("strict replay: err = %v", err)
+	}
+}
+
+// Streams listed out of core order must each drive their own core.
+func TestReplayStreamsOutOfCoreOrder(t *testing.T) {
+	short := isa.NewBuilder("short")
+	short.Li(isa.R(6), 9).Halt()
+	l := twoCoreLog()
+	l.Streams[1].Intervals[0].Entries[0].Size = 2
+	l.Streams[0], l.Streams[1] = l.Streams[1], l.Streams[0]
+	r, err := New(DefaultConfig(), l, []isa.Program{prog(), short.MustBuild()}, map[uint64]uint64{0x100: 42}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FinalRegs[0][5] != 47 || res.FinalRegs[1][6] != 9 || res.Instret[0] != 6 || res.Instret[1] != 2 {
+		t.Fatalf("regs %v / %v, instret %v", res.FinalRegs[0][:6], res.FinalRegs[1][:7], res.Instret)
+	}
+}
+
+func TestNewRejectsBadStreamCores(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		core int
+		dup  bool
+	}{
+		{"out-of-range", 2, false},
+		{"negative", -1, false},
+		{"duplicate", 0, true},
+	} {
+		l := twoCoreLog()
+		l.Streams[1].Core = tc.core
+		_, err := New(DefaultConfig(), l, []isa.Program{prog(), prog()}, nil, nil)
+		var sc *ErrStreamCore
+		if !errors.As(err, &sc) || sc.Stream != 1 || sc.Core != tc.core || sc.Duplicate != tc.dup {
+			t.Errorf("%s: err = %v (%T)", tc.name, err, err)
+		}
 	}
 }

@@ -182,6 +182,14 @@ func New(cfg Config, log *replaylog.Log, progs []isa.Program, initMem map[uint64
 	if len(progs) != log.Cores {
 		return nil, fmt.Errorf("replay: %d programs for %d cores", len(progs), log.Cores)
 	}
+	claimed := make([]bool, log.Cores)
+	for si, s := range log.Streams {
+		inRange := s.Core >= 0 && s.Core < log.Cores
+		if !inRange || claimed[s.Core] {
+			return nil, &ErrStreamCore{Stream: si, Core: s.Core, Cores: log.Cores, Duplicate: inRange}
+		}
+		claimed[s.Core] = true
+	}
 	r := &Replayer{
 		cfg: cfg, log: log, progs: progs, mem: isa.NewFlatMemory(),
 		tel: newReplTelem(cfg.Telemetry, log.Cores),
@@ -206,11 +214,14 @@ func New(cfg Config, log *replaylog.Log, progs []isa.Program, initMem map[uint64
 	return r, nil
 }
 
-// intervalRef orders intervals across cores.
+// intervalRef orders intervals across cores. stream is the position
+// in Log.Streams, which decoders fill in the order they first meet
+// each core, so it need not equal core.
 type intervalRef struct {
-	core int
-	idx  int
-	ts   uint64
+	core   int
+	stream int
+	idx    int
+	ts     uint64
 }
 
 // errStall is the internal signal that the step budget ran out inside
@@ -239,9 +250,9 @@ func watchdogBudget(l *replaylog.Log) uint64 {
 // only authoritative for the cores that completed.
 func (r *Replayer) Run() (*Result, error) {
 	var order []intervalRef
-	for _, s := range r.log.Streams {
+	for si, s := range r.log.Streams {
 		for i := range s.Intervals {
-			order = append(order, intervalRef{core: s.Core, idx: i, ts: s.Intervals[i].Timestamp})
+			order = append(order, intervalRef{core: s.Core, stream: si, idx: i, ts: s.Intervals[i].Timestamp})
 		}
 	}
 	sort.SliceStable(order, func(i, j int) bool {
@@ -265,10 +276,10 @@ func (r *Replayer) Run() (*Result, error) {
 	res := &Result{Intervals: len(order)}
 	var userCycles float64
 	for _, ref := range order {
-		if ref.core < len(abandoned) && abandoned[ref.core] {
+		if abandoned[ref.core] {
 			continue
 		}
-		iv := &r.log.Streams[ref.core].Intervals[ref.idx]
+		iv := &r.log.Streams[ref.stream].Intervals[ref.idx]
 		// The modeled replay clock (cumulative OS+user cycles) is the
 		// timeline the trace events are placed on.
 		start := res.Timing.OSCycles + uint64(userCycles)
@@ -286,9 +297,7 @@ func (r *Replayer) Run() (*Result, error) {
 			}
 			return nil, &ErrDiverged{Core: ref.core, Interval: ref.idx, Seq: iv.Seq, Cause: err}
 		}
-		if ref.core < len(done) {
-			done[ref.core]++
-		}
+		done[ref.core]++
 		r.tel.intervals.Inc(ref.core)
 		if tr := r.tel.tracer; tr != nil {
 			end := res.Timing.OSCycles + uint64(userCycles)
@@ -301,7 +310,7 @@ func (r *Replayer) Run() (*Result, error) {
 	res.Timing.UserCycles = uint64(userCycles)
 
 	for c, th := range r.threads {
-		if !th.Halted && !(c < len(abandoned) && abandoned[c]) {
+		if !th.Halted && !abandoned[c] {
 			cause := fmt.Errorf("did not reach HALT (pc=%d)", th.PC)
 			if !r.cfg.AllowPartial {
 				return nil, &ErrDiverged{Core: c, Interval: -1, Cause: cause}
@@ -352,19 +361,29 @@ func (r *Replayer) replayInterval(core int, iv *replaylog.Interval, res *Result,
 			*userCycles += float64(e.Size) * r.cpi[core] * r.cfg.UserCPIFactor
 			r.tel.blocks.Inc(core)
 			r.tel.instrs.Add(core, uint64(e.Size))
-			for i := uint32(0); i < e.Size; i++ {
-				if r.steps++; r.steps > r.budget {
-					return errStall
-				}
-				if th.Halted {
-					return mismatch(
-						fmt.Sprintf("%d more in-order instruction(s) in this block", e.Size-i),
-						"program already at HALT",
-						"block overruns HALT after %d of %d instructions", i, e.Size)
-				}
-				if err := th.Step(r.mem); err != nil {
-					return err
-				}
+			// One run per block, clamped to the watchdog budget left.
+			// Each instruction run is one step, and the instruction a
+			// block stops short at (past HALT, failing, or over the
+			// budget) costs one more, so a stall reports the step that
+			// crossed the budget. A block the budget cuts short stalls
+			// even if the thread halted at the cut: the stall wins over
+			// the HALT mismatch.
+			n := uint32(min(uint64(e.Size), r.budget-r.steps))
+			ran, err := th.RunBlock(r.mem, n)
+			r.steps += uint64(ran)
+			switch {
+			case err != nil:
+				r.steps++
+				return err
+			case ran < n:
+				r.steps++
+				return mismatch(
+					fmt.Sprintf("%d more in-order instruction(s) in this block", e.Size-ran),
+					"program already at HALT",
+					"block overruns HALT after %d of %d instructions", ran, e.Size)
+			case n < e.Size:
+				r.steps++
+				return errStall
 			}
 		case replaylog.ReorderedLoad:
 			// Inject the recorded value into the destination register

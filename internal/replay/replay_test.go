@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -332,5 +333,44 @@ func TestReplayIdempotent(t *testing.T) {
 		if b.FinalMemory[k] != v {
 			t.Fatal("memory differs between replays")
 		}
+	}
+}
+
+// A log supplies PatchedStore addresses, so a hostile one can scatter
+// stores across the address space. Replay memory grows by one small
+// page per distinct page touched: 4,096 stores 1 MiB apart must not
+// grow the heap by more than 4 MiB.
+func TestHostileStoresBoundReplayMemory(t *testing.T) {
+	const stores, stride = 4096, 1 << 20
+	entries := []replaylog.Entry{{Type: replaylog.InorderBlock, Size: 6}}
+	for i := uint64(0); i < stores; i++ {
+		entries = append(entries, replaylog.Entry{Type: replaylog.PatchedStore, Addr: 0x10000 + i*stride, Value: i + 1})
+	}
+	log := patchedLog(entries...)
+	progs := []isa.Program{prog()}
+
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := New(DefaultConfig(), log, progs, map[uint64]uint64{0x100: 42}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	runtime.KeepAlive(r)
+	t.Logf("heap growth: %d bytes", growth)
+
+	// The program itself leaves 0x100 (initial) and 0x108 (stored).
+	if len(res.FinalMemory) != stores+2 || res.FinalMemory[0x10000+(stores-1)*stride] != stores {
+		t.Fatalf("final memory holds %d words", len(res.FinalMemory))
+	}
+	if growth > 4<<20 {
+		t.Fatalf("replaying %d scattered stores grew the heap by %d bytes, want <= 4 MiB", stores, growth)
 	}
 }

@@ -231,7 +231,9 @@ func (ix *IndexedLog) readGroupInterval(sp IndexSpan, seq uint64) (*Interval, bo
 	}
 	body := br.data[br.pos:]
 	if flags&flagFlate != 0 {
-		out, ok := inflateBody(body)
+		inf := getInflater()
+		defer inf.release()
+		out, ok := inf.inflate(body)
 		if !ok {
 			return nil, false
 		}

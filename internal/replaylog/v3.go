@@ -619,10 +619,12 @@ func decodeCoreGroups(core int, refs []groupRef) v3coreResult {
 	var res v3coreResult
 	var lastSeq, lastTs uint64
 	have := false
+	inf := getInflater()
+	defer inf.release()
 	for _, ref := range refs {
 		body := ref.body
 		if ref.flags&flagFlate != 0 {
-			out, ok := inflateBody(body)
+			out, ok := inf.inflate(body)
 			if !ok {
 				res.drop(FrameError{Offset: ref.off, Type: FrameIvGroup, Core: core, Reason: "corrupt flate body"})
 				continue
@@ -650,17 +652,55 @@ func decodeCoreGroups(core int, refs []groupRef) v3coreResult {
 	return res
 }
 
-// inflateBody decompresses a flate group body, bounded by MaxFrameLen
-// so a decompression bomb cannot out-allocate the clamps.
-func inflateBody(src []byte) ([]byte, bool) {
-	fr := flate.NewReader(bytes.NewReader(src))
-	defer fr.Close()
-	var out bytes.Buffer
-	n, err := io.Copy(&out, io.LimitReader(fr, MaxFrameLen+1))
+// inflater decompresses flate group bodies, reusing one flate reader
+// (through flate.Resetter) and one output buffer across the groups of
+// a decode call. Each call that inflates (one core's groups, or one
+// indexed seek) takes its own from inflaterPool, so DecodeParallel's
+// goroutines never share a buffer.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser // a flate.Resetter; nil until the first body
+	lim io.LimitedReader
+	out bytes.Buffer
+}
+
+// maxPooledInflate caps the output buffer an inflater keeps in the
+// pool, so one huge body does not pin its buffer for later decodes.
+const maxPooledInflate = 1 << 20
+
+var inflaterPool sync.Pool
+
+func getInflater() *inflater {
+	if f, ok := inflaterPool.Get().(*inflater); ok {
+		return f
+	}
+	return new(inflater)
+}
+
+func (f *inflater) release() {
+	if f.out.Cap() > maxPooledInflate {
+		f.out = bytes.Buffer{}
+	}
+	inflaterPool.Put(f)
+}
+
+// inflate decompresses a flate group body, bounded by MaxFrameLen so a
+// decompression bomb cannot out-allocate the clamps. The result is
+// valid until the next call.
+func (f *inflater) inflate(src []byte) ([]byte, bool) {
+	f.src.Reset(src)
+	if f.fr == nil {
+		f.fr = flate.NewReader(&f.src)
+	} else if err := f.fr.(flate.Resetter).Reset(&f.src, nil); err != nil {
+		return nil, false
+	}
+	f.lim = io.LimitedReader{R: f.fr, N: MaxFrameLen + 1}
+	f.out.Reset()
+	n, err := f.out.ReadFrom(&f.lim)
 	if err != nil || n > MaxFrameLen {
 		return nil, false
 	}
-	return out.Bytes(), true
+	return f.out.Bytes(), true
 }
 
 // decodeGroupBody parses one decompressed group body into intervals.
@@ -712,6 +752,14 @@ func decodeGroupBody(body []byte) ([]Interval, string) {
 			return nil, "bad interval counts"
 		}
 		iv := Interval{Seq: seq, CISN: uint16(seq), Timestamp: ts}
+		// The counts were checked against the bytes left, so they
+		// bound these allocations; zero counts keep the slices nil.
+		if nent > 0 {
+			iv.Entries = make([]Entry, 0, nent)
+		}
+		if npred > 0 {
+			iv.Preds = make([]Pred, 0, npred)
+		}
 		for j := uint64(0); j < nent; j++ {
 			e, ok := br.entryV3(&prevAddr)
 			if !ok {

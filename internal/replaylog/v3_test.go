@@ -2,6 +2,7 @@ package replaylog
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -236,6 +237,55 @@ func TestDecodeParallelMatchesRobust(t *testing.T) {
 		}
 		if !reflect.DeepEqual(repR, repP) {
 			t.Errorf("%s: reports differ:\nrobust:   %+v\nparallel: %+v", name, repR, repP)
+		}
+	}
+}
+
+// TestDecodeV3AllocationBound caps the decode of the benchmark log at
+// 3,000 allocations, which holds with one pooled inflater per core and
+// presized entry and pred slices. A fresh flate reader per group and
+// growing appends make about 7,300.
+func TestDecodeV3AllocationBound(t *testing.T) {
+	data := encodeV3Bytes(t, benchLog(8, 256), V3Options{})
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := DecodeRobust(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3000 {
+		t.Fatalf("v3 decode of the benchmark log makes %.0f allocations, want <= 3000", allocs)
+	}
+}
+
+// Concurrent decodes each take their own inflaters from the shared
+// pool: overlapping DecodeParallel calls (themselves fanned out per
+// core) must all produce the sequential result. Run under -race.
+func TestConcurrentDecodesShareNoInflater(t *testing.T) {
+	l := genLog(4, 64)
+	data := encodeV3Bytes(t, l, V3Options{GroupSize: 8})
+	want, _, err := DecodeRobust(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		go func() {
+			for i := 0; i < 5; i++ {
+				got, _, err := DecodeParallel(bytes.NewReader(data))
+				if err == nil && !reflect.DeepEqual(got, want) {
+					err = fmt.Errorf("decode %d differs from the sequential result", i)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
 	}
 }
